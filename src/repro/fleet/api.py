@@ -33,7 +33,9 @@ status::
   violations carry the offending body path (``$.n_jobs``);
 * **404** ``unknown_tenant`` / ``not_found``;
 * **413** ``body_too_large``;
-* **429** ``quota_exhausted`` — the tenant's per-run quota is spent;
+* **429** ``quota_exhausted`` — the tenant's per-run quota is spent
+  (raised by the shard's count-submit op before it synthesises any job,
+  so the same round trip that would submit also refuses);
 * **500** ``internal`` — and the server keeps serving;
 * **503** ``shard_lost`` / ``starting`` — a worker died (multiprocess
   executor) or the fleet is still booting behind the bound socket.
@@ -89,6 +91,8 @@ QUOTE_SCHEMA: dict = {
     },
 }
 
+JSON_CONTENT_TYPE = "application/json"
+
 #: Cap on request bodies — a submit body is a few short fields; anything
 #: larger is a client bug or abuse, refused before parsing.
 MAX_BODY_BYTES = 64 * 1024
@@ -121,10 +125,21 @@ class _APIError(Exception):
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Request handler; the owning server carries the fleet manager."""
+    """Request handler; the owning server carries the fleet manager.
+
+    Each response leaves in one send: ``wbufsize = -1`` buffers the
+    status line, headers and body in ``wfile``, which the stdlib flushes
+    once per request (``handle_one_request``) and on close (``finish``).
+    A body sent apart from its headers is a second small segment that
+    Nagle holds until the client ACKs the first, and clients delay that
+    ACK by ~40 ms. Nagle is off too, because a body larger than the
+    buffer still goes out in more than one send.
+    """
 
     server: "FleetAPIServer"
     protocol_version = "HTTP/1.1"
+    wbufsize = -1
+    disable_nagle_algorithm = True
 
     # Quiet by default: the test suite and the CLI's --quiet mode both
     # run with logging off; serve_fleet turns it on for operators.
@@ -135,18 +150,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing
     # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(
-        self, status: int, text: str, content_type: str = "text/plain; charset=utf-8"
-    ) -> None:
-        body = text.encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -154,7 +158,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _send_error(self, error: _APIError) -> None:
-        self._send_json(error.status, error.body(self.path))
+        body = json.dumps(error.body(self.path)).encode("utf-8")
+        self._send(error.status, body, JSON_CONTENT_TYPE)
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach the client before it sends the
+        # body, not wait in the write buffer for the final response.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     def _read_json(self) -> Any:
         length = int(self.headers.get("Content-Length", 0) or 0)
@@ -206,7 +218,7 @@ class _Handler(BaseHTTPRequestHandler):
                 _APIError(500, "internal", f"{type(exc).__name__}: {exc}")
             )
         else:
-            self._send_json(status, payload)
+            self._send(status, json.dumps(payload).encode("utf-8"), JSON_CONTENT_TYPE)
 
     # ------------------------------------------------------------------
     # Routes
@@ -256,7 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
                 _APIError(500, "internal", f"{type(exc).__name__}: {exc}")
             )
         else:
-            self._send_text(200, text, METRICS_CONTENT_TYPE)
+            self._send(200, text.encode("utf-8"), METRICS_CONTENT_TYPE)
 
     def _get_health(self) -> tuple[int, dict]:
         manager = self._manager()
@@ -323,11 +335,8 @@ class _Handler(BaseHTTPRequestHandler):
         manager = self._manager()
         tenant_id = body["tenant"]
         shard_index = manager.shard_index_for(tenant_id)  # raises UnknownTenantError
-        account = manager.account(tenant_id)
-        if account.quota_remaining == 0:
-            # Refuse before synthesis so a pure-429 path leaves the
-            # shard's job substream untouched.
-            raise QuotaExceededError(tenant_id, account.quota_jobs or 0)
+        # One executor round trip; an exhausted quota raises
+        # QuotaExceededError from the shard before any job is synthesised.
         arrival_time, outcomes = manager.submit_count(
             tenant_id, body["n_jobs"], body.get("arrival_time_s")
         )

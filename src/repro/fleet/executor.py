@@ -9,7 +9,8 @@ process runs them) behind one small command protocol:
 op          behaviour
 ========== ==========================================================
 ``submit``  quote/admit/dispatch one tenant group (bodies or a count
-            synthesised from the shard's seeded API substream)
+            synthesised from the shard's seeded API substream; a count
+            for an exhausted tenant raises ``QuotaExceededError``)
 ``quote``   price one job, no admission
 ``account`` one tenant's books (a point-in-time copy off-process)
 ``accounts`` every account on the shard
@@ -135,7 +136,7 @@ def _apply(shard: BrokerShard, op: str, args: tuple[Any, ...]) -> Any:
     if op == "submit":
         tenant_id, jobs, n_jobs, arrival_time = args
         if jobs is None:
-            arrival_time, jobs = shard.synthesize_jobs(n_jobs, arrival_time)
+            return shard.submit_count(tenant_id, n_jobs, arrival_time)
         return arrival_time, shard.submit(tenant_id, jobs, arrival_time=arrival_time)
     if op == "quote":
         tenant_id, job = args

@@ -24,7 +24,9 @@ Determinism contract (the whole point of the design):
 Multi-tenancy inside one shard: each submission group passes its
 tenant's derived :class:`~repro.service.policy.SLAPolicy` to
 :meth:`BurstBroker.submit` (promise pricing per SLA class), quota is
-checked before the broker ever sees the jobs, and a completion observer
+checked before the broker ever sees the jobs (and, on the count-submit
+path the HTTP front uses, before any job is synthesised — an exhausted
+tenant raises :class:`QuotaExceededError` there), and a completion observer
 routes penalties — priced by the *tenant's* scaled schedule — into both
 the shard ledger and the tenant's own :class:`~repro.econ.penalties.
 CostLedger`.
@@ -205,6 +207,12 @@ class QuotaExceededError(RuntimeError):
         super().__init__(
             f"tenant {tenant_id!r} exhausted its quota of {quota_jobs} admitted jobs"
         )
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # The default reduce replays ``args`` (the message alone) into
+        # ``__init__``; rebuild from the fields instead, so the error
+        # survives the trip back from a shard worker process.
+        return type(self), (self.tenant_id, self.quota_jobs)
 
 
 @dataclass
@@ -392,9 +400,9 @@ class BrokerShard:
         the simulated system. The refusal is conservative at group
         granularity — allowance counts jobs the policy might still
         reject — which keeps the check a pure function of the account
-        state at arrival. Exhausted quota refuses, never raises: the
-        HTTP front's 429 comes from its own pre-check, while batch
+        state at arrival. Exhausted quota refuses, never raises: batch
         drivers keep streaming and the refusals surface in the report.
+        The HTTP front's 429 comes from :meth:`submit_count` instead.
         """
         account = self.accounts[tenant_id]
         jobs = list(jobs)
@@ -435,6 +443,26 @@ class BrokerShard:
             quote = self.quote(tenant_id, job)
             outcomes.append(SubmissionOutcome(job=job, quote=quote, result=result))
         return outcomes
+
+    def submit_count(
+        self,
+        tenant_id: str,
+        n_jobs: int,
+        arrival_time: Optional[float] = None,
+    ) -> tuple[float, list[SubmissionOutcome]]:
+        """Synthesise ``n_jobs`` and submit them (the HTTP front's path).
+
+        An already-exhausted tenant raises :class:`QuotaExceededError`
+        *before* synthesis, so a pure-429 request leaves the shard's job
+        substream untouched. A group that only overflows the allowance
+        is submitted and its tail refused with reason ``"quota"``, as in
+        :meth:`submit`.
+        """
+        account = self.accounts[tenant_id]
+        if account.quota_remaining == 0:
+            raise QuotaExceededError(tenant_id, account.quota_jobs or 0)
+        arrival_time, jobs = self.synthesize_jobs(n_jobs, arrival_time)
+        return arrival_time, self.submit(tenant_id, jobs, arrival_time=arrival_time)
 
     # ------------------------------------------------------------------
     # Completion side
@@ -636,7 +664,13 @@ class FleetManager:
         arrival_time_s: Optional[float] = None,
     ) -> tuple[float, list[SubmissionOutcome]]:
         """Submit ``n_jobs`` synthesised from the home shard's seeded
-        API substream (the HTTP front's submission path)."""
+        API substream (the HTTP front's submission path).
+
+        One executor round trip. Raises :class:`QuotaExceededError` when
+        the tenant's quota is already spent (the shard checks before it
+        synthesises anything); :meth:`submit` refuses such jobs with
+        reason ``"quota"`` instead.
+        """
         if self._finished:
             raise RuntimeError("fleet already finished")
         index = self.shard_index_for(tenant_id)

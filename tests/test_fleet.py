@@ -10,6 +10,8 @@ way up the aggregated report.
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.econ.penalties import PenaltySchedule
@@ -20,6 +22,7 @@ from repro.fleet import (
     FleetConfig,
     FleetLoadConfig,
     FleetManager,
+    QuotaExceededError,
     ScaledTicket,
     SLAClass,
     TenantSpec,
@@ -239,6 +242,26 @@ class TestQuota:
             == stats.submitted
         )
         assert stats.rejections_by_reason.get(QUOTA_REASON, 0) >= 3
+
+    def test_submit_count_raises_for_exhausted_tenant_before_synthesis(self):
+        manager = self.make_fleet(quota_jobs=2)
+        shard = manager.shard_for("capped")
+        manager.submit_count("capped", 2)
+        assert manager.account("capped").quota_remaining == 0
+        substream = (shard._next_job_id, shard._next_group_id)
+        with pytest.raises(QuotaExceededError) as info:
+            manager.submit_count("capped", 3)
+        assert info.value.tenant_id == "capped"
+        assert info.value.quota_jobs == 2
+        assert (shard._next_job_id, shard._next_group_id) == substream
+        assert shard.stats.submitted == 2
+
+    def test_quota_error_survives_pickling(self):
+        error = QuotaExceededError("t", 5)
+        clone = pickle.loads(pickle.dumps(error))
+        assert type(clone) is QuotaExceededError
+        assert (clone.tenant_id, clone.quota_jobs) == ("t", 5)
+        assert str(clone) == str(error)
 
 
 # ----------------------------------------------------------------------

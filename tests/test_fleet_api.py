@@ -10,7 +10,9 @@ fault — kills the server.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -227,3 +229,200 @@ class TestErrorContract:
         assert "disk on fire" in body["error"]["message"]
         status, _ = request(server, "/v1/health")
         assert status == 200
+
+
+# ----------------------------------------------------------------------
+# Wire cost: one send per response, one executor call per submit
+# ----------------------------------------------------------------------
+class _CountingSocket(socket.socket):
+    """An accepted connection that logs the size of every send.
+
+    The size is logged before the send, so a client that has read the
+    whole response always sees the log entry.
+    """
+
+    sends: list[int]
+
+    def send(self, data, flags=0):
+        self.sends.append(len(data))
+        return super().send(data, flags)
+
+    def sendall(self, data, flags=0):
+        self.sends.append(len(data))
+        return super().sendall(data, flags)
+
+
+class _CountingServer(FleetAPIServer):
+    """A front whose accepted connections log their sends."""
+
+    def __init__(self, manager: FleetManager) -> None:
+        self.sends: list[int] = []
+        self.connections = 0
+        super().__init__(manager, port=0)
+
+    def get_request(self):
+        conn, addr = super().get_request()
+        counting = _CountingSocket(
+            conn.family, conn.type, conn.proto, fileno=conn.detach()
+        )
+        counting.sends = self.sends
+        self.connections += 1
+        self.last_connection = counting
+        return counting, addr
+
+
+@pytest.fixture
+def counting_server(server):
+    srv = _CountingServer(server.manager)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield srv
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+
+
+def round_trip(conn, srv, method, path, body=None):
+    """One request on a kept-alive connection: (status, body, sends)."""
+    before = len(srv.sends)
+    data = json.dumps(body).encode() if body is not None else None
+    conn.request(method, path, body=data,
+                 headers={"Content-Type": "application/json"})
+    resp = conn.getresponse()
+    payload = resp.read()
+    return resp.status, payload, len(srv.sends) - before
+
+
+class TestOneSendPerResponse:
+    CASES = [
+        ("POST", "/v1/jobs", {"tenant": "roomy", "n_jobs": 3}, 200),
+        ("GET", "/v1/metrics", None, 200),
+        ("GET", "/v1/nope", None, 404),
+        ("POST", "/v1/jobs", {"tenant": "roomy", "n_jobs": -3}, 400),
+    ]
+
+    @pytest.mark.parametrize(
+        "method,path,body,status", CASES,
+        ids=["json-200", "metrics-text-200", "404", "400-schema"],
+    )
+    def test_response_is_one_send(self, counting_server, method, path, body, status):
+        host, port = counting_server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            got, payload, sends = round_trip(conn, counting_server, method, path, body)
+        finally:
+            conn.close()
+        assert got == status
+        assert sends == 1
+        assert counting_server.sends[-1] > len(payload)  # headers + body
+        if status == 400:
+            assert json.loads(payload)["error"]["code"] == "schema_violation"
+
+    def test_keep_alive_serves_every_request_on_one_connection(
+        self, counting_server
+    ):
+        host, port = counting_server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            for method, path, body, status in self.CASES:
+                got, _, sends = round_trip(conn, counting_server, method, path, body)
+                assert (got, sends) == (status, 1)
+        finally:
+            conn.close()
+        assert counting_server.connections == 1
+
+    def test_nagle_is_off(self, counting_server):
+        # A body past the write buffer leaves in more than one send; with
+        # Nagle on, the tail would wait for the client's delayed ACK.
+        host, port = counting_server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            status, _, _ = round_trip(conn, counting_server, "GET", "/v1/health")
+            nodelay = counting_server.last_connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+        finally:
+            conn.close()
+        assert status == 200
+        assert nodelay
+
+    def test_expect_100_continue_is_sent_before_the_body(self, server):
+        # A buffered interim response would leave the client waiting for
+        # a 100 Continue that only arrives with the final response.
+        host, port = server.server_address[:2]
+        body = json.dumps({"tenant": "roomy", "n_jobs": 1}).encode()
+        head = (
+            "POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\nExpect: 100-continue\r\n\r\n"
+        ).encode()
+        with socket.create_connection((host, port), timeout=10) as sock:
+            sock.sendall(head)
+            interim = b""
+            while b"\r\n\r\n" not in interim:
+                interim += sock.recv(1024)
+            assert interim.startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            final = b""
+            while b"\r\n\r\n" not in final:
+                final += sock.recv(4096)
+        assert final.startswith(b"HTTP/1.1 200")
+
+
+@pytest.mark.parametrize("executor", ["inprocess", "multiprocess"])
+def test_submit_is_one_executor_call_and_429_skips_synthesis(executor):
+    registry = TenantRegistry(
+        [TenantSpec(tenant_id="capped", quota_jobs=2)]
+        + [TenantSpec(tenant_id=f"roomy-{i}") for i in range(4)]
+    )
+    manager = FleetManager(
+        FleetConfig(n_shards=2, seed=2024, pretrain_jobs=40),
+        registry,
+        executor=executor,
+    )
+    home = manager.shard_index_for("capped")
+    neighbour = next(
+        t.tenant_id
+        for t in registry
+        if t.tenant_id != "capped" and manager.shard_index_for(t.tenant_id) == home
+    )
+    ops: list[str] = []
+    call = manager.executor.call
+
+    def counted_call(index, op, *args):
+        ops.append(op)
+        return call(index, op, *args)
+
+    manager.executor.call = counted_call
+    srv = FleetAPIServer(manager, port=0)
+    thread = threading.Thread(target=srv.serve_forever, daemon=True)
+    thread.start()
+    try:
+        status, first = request(srv, "/v1/jobs", {"tenant": "capped", "n_jobs": 5})
+        assert status == 200
+        assert ops == ["submit"]
+        if executor == "inprocess":
+            shard = manager.shard_for("capped")
+            substream = (shard._next_job_id, shard._next_group_id)
+
+        ops.clear()
+        status, body = request(srv, "/v1/jobs", {"tenant": "capped", "n_jobs": 1})
+        assert status == 429
+        assert body["error"]["code"] == "quota_exhausted"
+        assert "capped" in body["error"]["message"]
+        assert ops == ["submit"]
+        if executor == "inprocess":
+            assert (shard._next_job_id, shard._next_group_id) == substream
+
+        # The refused request drew no job: the shard's next job continues
+        # the substream right after the last one it handed out.
+        status, after = request(srv, "/v1/jobs", {"tenant": neighbour, "n_jobs": 1})
+        assert status == 200
+        assert after["outcomes"][0]["job_id"] == first["outcomes"][-1]["job_id"] + 1
+    finally:
+        srv.shutdown()
+        srv.server_close()
+        thread.join(timeout=5)
+        manager.finish()
