@@ -2,39 +2,51 @@
 
 The engine's FIFO tie-break and the seeded RNGs promise that a whole
 simulation is a pure function of ``(scheduler, spec)``. This module turns
-that promise into a checkable property: run the same seeded workload
-twice, hash every lifecycle timestamp in both :class:`RunTrace`\\ s, and
-compare. On mismatch, the report names the first divergent record and
-field — the event where the two runs first disagreed — rather than just
-"hashes differ".
+that promise into a checkable property: ``repro check`` walks one table
+of parity passes (:data:`PASSES`). Each pass builds two runs, A and B,
+and compares their named *witnesses*:
 
-The second run executes with the runtime invariant checker installed
-(:mod:`repro.analysis.invariants`), so ``repro check`` validates both
-properties of a scheduler at once: the run is internally consistent, and
-it is reproducible.
+* a double-run pass builds the same seeded run twice (A = B) — paper
+  (runtime invariants on), econ (billing and spot preemption; ledger
+  witness), fleet (sharded multi-tenant; merged fleet digest) and
+  policy (converger under spot churn; audit witness);
+* a parity pass builds one workload two ways that must not differ —
+  exec (inprocess vs multiprocess executor), obs (telemetry off vs on)
+  and idle (no policy vs a never-firing one).
 
-The econ pass extends the same contract to money: with cost accounting
-attached (spot market, finite bid, so the preemption path is exercised),
-two seeded runs must produce identical trace hashes *and* identical
-:class:`~repro.econ.penalties.CostLedger` hashes — a billing meter that
-cannot reproduce its invoice is as broken as a scheduler that cannot
-reproduce its timestamps.
+A witness is a :class:`RunTrace` (hashed by :func:`hash_trace`), a
+:class:`~repro.fleet.FleetReport` (its ``sha256``) or a digest string
+such as a ledger or audit hash. On mismatch the report names the first
+divergent record and field — for a fleet, the divergent shards and the
+first divergent record of the merged trace — rather than just "hashes
+differ". Adding a pass is one :class:`ParityPass` entry in the table.
 
 CLI::
 
-    repro check                 # paper schedulers + econ pass, default spec
-    repro check --scheduler Op  # just one
-    repro check --no-econ       # skip the econ/ledger pass
+    repro check                 # every pass, default spec
+    repro check --scheduler Op  # per-scheduler passes narrowed to Op
+    repro check --seed 7        # another workload and fleet seed
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from functools import cached_property, partial
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Union,
+)
 
 if TYPE_CHECKING:
+    from ..fleet import FleetReport, TenantRegistry
     from ..policy.runtime import PolicyConfig
+    from ..workload.generator import Batch
 
 from ..experiments.config import DEFAULT_SPEC, ExperimentSpec
 from ..experiments.runner import PAPER_SCHEDULERS, build_workload, run_one
@@ -44,27 +56,17 @@ from .invariants import install_invariants
 
 __all__ = [
     "Divergence",
-    "DeterminismResult",
     "hash_trace",
     "canonical_records",
     "first_divergence",
-    "check_scheduler",
-    "check_determinism",
     "ECON_SCHEDULERS",
-    "EconDeterminismResult",
-    "check_scheduler_econ",
-    "check_econ",
-    "FleetDeterminismResult",
-    "check_fleet",
-    "ExecutorParityResult",
-    "check_executor_parity",
-    "ObsParityResult",
-    "check_obs_parity",
-    "PolicyDeterminismResult",
-    "check_scheduler_policy",
-    "check_policy",
-    "PolicyIdleResult",
-    "check_policy_idle",
+    "CheckContext",
+    "Run",
+    "Witness",
+    "ParityResult",
+    "compare",
+    "ParityPass",
+    "PASSES",
 ]
 
 #: JobRecord fields in declaration order — the canonical hashing schema.
@@ -164,410 +166,176 @@ def first_divergence(a: RunTrace, b: RunTrace) -> Optional[Divergence]:
     return None
 
 
-@dataclass(frozen=True)
-class DeterminismResult:
-    """Verdict for one scheduler: two seeded runs, two hashes, one answer."""
-
-    scheduler: str
-    hash_a: str
-    hash_b: str
-    n_records: int
-    divergence: Optional[Divergence] = None
-
-    @property
-    def deterministic(self) -> bool:
-        return self.hash_a == self.hash_b
-
-    def render(self) -> str:
-        if self.deterministic:
-            return (
-                f"{self.scheduler:>8}: OK  {self.n_records} records, "
-                f"hash {self.hash_a[:16]}"
-            )
-        detail = self.divergence.render() if self.divergence else "hashes differ"
-        return f"{self.scheduler:>8}: FAIL  {detail}"
-
-
-def check_scheduler(
-    scheduler_name: str,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-    invariants: bool = True,
-) -> DeterminismResult:
-    """Run ``scheduler_name`` twice on the identical seeded workload.
-
-    Both runs rebuild the environment from scratch (fresh engine, fresh
-    seeded RNGs) and replay the same pre-generated batch list — exactly
-    the reproducibility contract the comparison experiments rely on. With
-    ``invariants`` (the default), both runs also carry the runtime
-    invariant checker, so a structurally broken run fails loudly instead
-    of merely hashing differently.
-    """
-    batches = build_workload(spec)
-    hook = install_invariants if invariants else None
-    trace_a = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    trace_b = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    hash_a, hash_b = hash_trace(trace_a), hash_trace(trace_b)
-    divergence = None
-    if hash_a != hash_b:
-        divergence = first_divergence(trace_a, trace_b)
-    return DeterminismResult(
-        scheduler=scheduler_name,
-        hash_a=hash_a,
-        hash_b=hash_b,
-        n_records=len(trace_a.records),
-        divergence=divergence,
-    )
-
-
-def check_determinism(
-    schedulers: Sequence[str] = PAPER_SCHEDULERS,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-    invariants: bool = True,
-) -> list[DeterminismResult]:
-    """The ``repro check`` body: verdicts for each scheduler in turn."""
-    return [
-        check_scheduler(name, spec=spec, invariants=invariants)
-        for name in schedulers
-    ]
-
 
 # ----------------------------------------------------------------------
-# Econ pass: trace + ledger reproducibility with money attached
+# Runs, witnesses and verdicts
 # ----------------------------------------------------------------------
 
-#: Schedulers the econ pass double-runs: the paper's four plus the
-#: cost-aware variant the ledger actually steers.
+#: Schedulers the econ and policy passes double-run: the paper's four
+#: plus the cost-aware variant the ledger actually steers.
 ECON_SCHEDULERS = PAPER_SCHEDULERS + ("CostAware",)
 
+#: The scheduler a once-in-total pass runs.
+ONCE_SCHEDULER = "Op"
+
+#: What a witness hash is taken over.
+WitnessSource = Union[RunTrace, "FleetReport", str]
+
 
 @dataclass(frozen=True)
-class EconDeterminismResult:
-    """Verdict for one scheduler with cost accounting attached."""
+class CheckContext:
+    """Workload, seeds and sizes shared by every pass of one check."""
 
-    scheduler: str
+    spec: ExperimentSpec = DEFAULT_SPEC
+    #: Seed of the fleet passes' shard substreams and load generator.
+    fleet_seed: int = 2024
+    #: Arm the runtime invariant checker on paper, econ and policy runs.
+    invariants: bool = True
+    n_shards: int = 4
+    #: Jobs in the fleet double-run; the exec and obs runs take half.
+    fleet_jobs: int = 400
+
+    @cached_property
+    def batches(self) -> "list[Batch]":
+        """The spec's batch list, built once and replayed by every run."""
+        return build_workload(self.spec)
+
+
+@dataclass(frozen=True)
+class Run:
+    """One side of a pass: named witnesses plus its headline counts.
+
+    A count renders as ``"<value> <name>"``; a string stat is a digest
+    only this side produces (so not a witness) and renders as
+    ``"<name> <16-hex prefix>"``.
+    """
+
+    witnesses: Mapping[str, WitnessSource]
+    stats: Mapping[str, Union[int, str]]
+
+
+@dataclass(frozen=True)
+class Witness:
+    """One witness's hash in run A and run B, and where they split."""
+
     hash_a: str
     hash_b: str
-    ledger_hash_a: str
-    ledger_hash_b: str
-    n_records: int
-    preemptions: int
-    divergence: Optional[Divergence] = None
+    detail: Optional[str] = None
 
     @property
-    def deterministic(self) -> bool:
-        return self.hash_a == self.hash_b and (
-            self.ledger_hash_a == self.ledger_hash_b
-        )
+    def ok(self) -> bool:
+        return self.hash_a == self.hash_b
+
+
+@dataclass(frozen=True)
+class ParityResult:
+    """The verdict of one pass on one scheduler."""
+
+    label: str
+    witnesses: Mapping[str, Witness]
+    #: Run B's stats — the attached side of a parity pass.
+    stats: Mapping[str, Union[int, str]]
+
+    @property
+    def ok(self) -> bool:
+        return all(witness.ok for witness in self.witnesses.values())
 
     def render(self) -> str:
-        if self.deterministic:
+        for name, witness in self.witnesses.items():
+            if not witness.ok:
+                return f"{self.label:>8}: FAIL  {name}: {witness.detail}"
+        stats = ", ".join(
+            f"{key} {value[:16]}" if isinstance(value, str) else f"{value} {key}"
+            for key, value in self.stats.items()
+        )
+        hashes = ", ".join(
+            f"{name} {witness.hash_a[:16]}"
+            for name, witness in self.witnesses.items()
+        )
+        return f"{self.label:>8}: OK  {stats}; {hashes}"
+
+
+def _digest(source: WitnessSource) -> str:
+    if isinstance(source, str):
+        return source
+    if isinstance(source, RunTrace):
+        return hash_trace(source)
+    return source.sha256
+
+
+def _trace_detail(a: RunTrace, b: RunTrace) -> str:
+    divergence = first_divergence(a, b)
+    return divergence.render() if divergence is not None else "hashes differ"
+
+
+def _detail(a: WitnessSource, b: WitnessSource, hash_a: str, hash_b: str) -> str:
+    """Where two witnesses of one kind first disagree."""
+    if isinstance(a, RunTrace) and isinstance(b, RunTrace):
+        return _trace_detail(a, b)
+    if not isinstance(a, (str, RunTrace)) and not isinstance(b, (str, RunTrace)):
+        divergent = [
+            index
+            for index, (x, y) in enumerate(zip(a.shard_hashes, b.shard_hashes))
+            if x != y
+        ]
+        if not divergent:
             return (
-                f"{self.scheduler:>8}: OK  {self.n_records} records, "
-                f"{self.preemptions} preemptions, "
-                f"ledger {self.ledger_hash_a[:16]}"
+                "shard traces agree; merged stats/ledger state diverged "
+                f"({hash_a[:16]} vs {hash_b[:16]})"
             )
-        if self.hash_a != self.hash_b:
-            detail = (
-                self.divergence.render() if self.divergence else "hashes differ"
-            )
-        else:
-            detail = (
-                f"ledger hashes differ: {self.ledger_hash_a[:16]} vs "
-                f"{self.ledger_hash_b[:16]}"
-            )
-        return f"{self.scheduler:>8}: FAIL  {detail}"
+        return (
+            f"shard trace hash(es) differ at index {divergent}; "
+            + _trace_detail(a.trace, b.trace)
+        )
+    return f"hashes differ: {hash_a[:16]} vs {hash_b[:16]}"
 
 
-def _econ_hook() -> Callable[["CloudBurstEnvironment"], None]:
-    """Env hook arming invariants plus a preemption-exercising econ config."""
+def compare(label: str, run_a: Run, run_b: Run) -> ParityResult:
+    """Witness by witness verdict on two runs that must agree."""
+    if run_a.witnesses.keys() != run_b.witnesses.keys():
+        raise ValueError(
+            f"{label}: runs name different witnesses "
+            f"{list(run_a.witnesses)} vs {list(run_b.witnesses)}"
+        )
+    witnesses: dict[str, Witness] = {}
+    for name, a in run_a.witnesses.items():
+        b = run_b.witnesses[name]
+        hash_a, hash_b = _digest(a), _digest(b)
+        detail = None if hash_a == hash_b else _detail(a, b, hash_a, hash_b)
+        witnesses[name] = Witness(hash_a, hash_b, detail)
+    return ParityResult(label, witnesses, dict(run_b.stats))
+
+
+# ----------------------------------------------------------------------
+# Run builders
+# ----------------------------------------------------------------------
+
+Attach = Callable[[CloudBurstEnvironment], object]
+Builder = Callable[[str, CheckContext], Run]
+
+
+def _run(scheduler: str, ctx: CheckContext, *attach: Attach) -> RunTrace:
+    """One seeded ``run_one`` with each ``attach`` armed in order."""
+
+    def hook(env: CloudBurstEnvironment) -> None:
+        for arm in attach:
+            arm(env)
+
+    return run_one(scheduler, ctx.spec, batches=ctx.batches, env_hook=hook)
+
+
+def _invariants(ctx: CheckContext) -> tuple[Attach, ...]:
+    return (install_invariants,) if ctx.invariants else ()
+
+
+def _attach_spot_econ(env: CloudBurstEnvironment) -> None:
+    """Billing on a finite-bid spot market, so preemption is exercised."""
     from ..econ import EconConfig, SpotMarketConfig, attach_econ
 
-    config = EconConfig(
-        spot=SpotMarketConfig(bid_usd_per_hour=0.13, variation=0.4)
+    attach_econ(
+        env,
+        EconConfig(spot=SpotMarketConfig(bid_usd_per_hour=0.13, variation=0.4)),
     )
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        install_invariants(env)
-        attach_econ(env, config)
-
-    return hook
-
-
-def check_scheduler_econ(
-    scheduler_name: str,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> EconDeterminismResult:
-    """Double-run one scheduler with billing, penalties, and spot
-    preemption armed; compare trace hashes and ledger hashes."""
-    batches = build_workload(spec)
-    hook = _econ_hook()
-    trace_a = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    trace_b = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    hash_a, hash_b = hash_trace(trace_a), hash_trace(trace_b)
-    econ_a, econ_b = trace_a.metadata["econ"], trace_b.metadata["econ"]
-    divergence = None
-    if hash_a != hash_b:
-        divergence = first_divergence(trace_a, trace_b)
-    return EconDeterminismResult(
-        scheduler=scheduler_name,
-        hash_a=hash_a,
-        hash_b=hash_b,
-        ledger_hash_a=econ_a["ledger_sha256"],
-        ledger_hash_b=econ_b["ledger_sha256"],
-        n_records=len(trace_a.records),
-        preemptions=econ_a["preemptions"],
-        divergence=divergence,
-    )
-
-
-def check_econ(
-    schedulers: Sequence[str] = ECON_SCHEDULERS,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> list[EconDeterminismResult]:
-    """The econ half of ``repro check``: ledger verdicts per scheduler."""
-    return [check_scheduler_econ(name, spec=spec) for name in schedulers]
-
-
-# ----------------------------------------------------------------------
-# Fleet pass: cross-shard merged-artifact reproducibility
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FleetDeterminismResult:
-    """Verdict for one sharded fleet: two runs, two fleet digests.
-
-    The fleet digest covers the per-shard trace hashes, the per-tenant
-    ledger hashes and the merged streaming counters (see
-    :func:`repro.fleet.aggregate.fleet_sha256`), so a single mismatched
-    shard or tenant ledger fails the whole pass — and the render names
-    the first shard whose trace diverged, when one did.
-    """
-
-    n_shards: int
-    seed: int
-    sha_a: str
-    sha_b: str
-    shard_hashes_a: tuple[str, ...]
-    shard_hashes_b: tuple[str, ...]
-    n_records: int
-    quota_rejected: int
-
-    @property
-    def deterministic(self) -> bool:
-        return self.sha_a == self.sha_b
-
-    def render(self) -> str:
-        label = f"fleet[{self.n_shards}]"
-        if self.deterministic:
-            return (
-                f"{label:>8}: OK  {self.n_records} records, "
-                f"{self.quota_rejected} quota refusals, "
-                f"fleet sha {self.sha_a[:16]}"
-            )
-        divergent = [
-            i
-            for i, (a, b) in enumerate(
-                zip(self.shard_hashes_a, self.shard_hashes_b)
-            )
-            if a != b
-        ]
-        if divergent:
-            detail = f"shard trace hash(es) differ at index {divergent}"
-        else:
-            detail = (
-                "shard traces agree; merged stats/ledger state diverged "
-                f"({self.sha_a[:16]} vs {self.sha_b[:16]})"
-            )
-        return f"{label:>8}: FAIL  {detail}"
-
-
-def check_fleet(
-    n_shards: int = 4,
-    n_jobs: int = 400,
-    seed: int = 2024,
-    scheduler: str = "Op",
-) -> FleetDeterminismResult:
-    """Double-run a small sharded fleet; compare the merged digests.
-
-    Exercises the whole multi-tenant stack: substream-seeded shard
-    environments, hash routing, per-class promise scaling, a tight quota
-    on one tenant (so the distinct ``"quota"`` refusal path is on the
-    hashed path), cross-shard stats/ledger merging, and the fleet
-    SHA-256 itself.
-    """
-    # Local import: repro.fleet builds on this module's hash_trace.
-    from ..fleet import (
-        BRONZE,
-        FleetConfig,
-        FleetLoadConfig,
-        FleetReport,
-        TenantRegistry,
-        TenantSpec,
-        default_registry,
-        run_fleet_load,
-    )
-
-    def one_run() -> FleetReport:
-        registry = TenantRegistry(list(default_registry(11)))
-        # A deliberately starved tenant: the quota refusal path must be
-        # part of what the digest certifies.
-        registry.register(
-            TenantSpec(tenant_id="starved-012", sla_class=BRONZE, quota_jobs=5)
-        )
-        result = run_fleet_load(
-            FleetConfig(n_shards=n_shards, seed=seed, scheduler=scheduler),
-            FleetLoadConfig(n_jobs=n_jobs, rate_per_s=50.0, seed=seed),
-            registry=registry,
-        )
-        return result.report
-
-    report_a, report_b = one_run(), one_run()
-    return FleetDeterminismResult(
-        n_shards=n_shards,
-        seed=seed,
-        sha_a=report_a.sha256,
-        sha_b=report_b.sha256,
-        shard_hashes_a=tuple(report_a.shard_hashes),
-        shard_hashes_b=tuple(report_b.shard_hashes),
-        n_records=len(report_a.trace.records),
-        quota_rejected=report_a.quota_rejected,
-    )
-
-
-@dataclass(frozen=True)
-class ExecutorParityResult:
-    """Outcome of the executor-parity pass: same workload, two executors.
-
-    The fleet's aggregation contract says *who drives the shards cannot
-    change any result* — the in-process executor and one-worker-process-
-    per-shard executor must fold into the same ``fleet_sha256``. This
-    pass runs the identical seeded workload under both and compares.
-    """
-
-    n_shards: int
-    seed: int
-    sha_inprocess: str
-    sha_multiprocess: str
-    shard_hashes_inprocess: tuple[str, ...]
-    shard_hashes_multiprocess: tuple[str, ...]
-    n_records: int
-
-    @property
-    def identical(self) -> bool:
-        return self.sha_inprocess == self.sha_multiprocess
-
-    def render(self) -> str:
-        label = f"exec[{self.n_shards}]"
-        if self.identical:
-            return (
-                f"{label:>8}: OK  inprocess == multiprocess, "
-                f"{self.n_records} records, "
-                f"fleet sha {self.sha_inprocess[:16]}"
-            )
-        divergent = [
-            i
-            for i, (a, b) in enumerate(
-                zip(self.shard_hashes_inprocess, self.shard_hashes_multiprocess)
-            )
-            if a != b
-        ]
-        if divergent:
-            detail = f"shard trace hash(es) differ at index {divergent}"
-        else:
-            detail = (
-                "shard traces agree; merged stats/ledger state diverged "
-                f"({self.sha_inprocess[:16]} vs {self.sha_multiprocess[:16]})"
-            )
-        return f"{label:>8}: FAIL  {detail}"
-
-
-def check_executor_parity(
-    n_shards: int = 4,
-    n_jobs: int = 200,
-    seed: int = 2024,
-    scheduler: str = "Op",
-) -> ExecutorParityResult:
-    """Run one seeded fleet workload under both executors; compare digests.
-
-    This is the gate behind the multiprocess executor's whole design: the
-    command protocol, the spawn-context shard rebuild, and the
-    shard-index-order fold must be invisible to the digest. Worker
-    processes are real (spawn context), so this pass also proves the
-    shard state pickles faithfully.
-    """
-    from ..fleet import FleetConfig, FleetLoadConfig, run_fleet_load
-
-    def one_run(executor: str) -> "object":
-        result = run_fleet_load(
-            FleetConfig(n_shards=n_shards, seed=seed, scheduler=scheduler),
-            FleetLoadConfig(n_jobs=n_jobs, rate_per_s=50.0, seed=seed),
-            executor=executor,
-        )
-        return result.report
-
-    report_in = one_run("inprocess")
-    report_mp = one_run("multiprocess")
-    return ExecutorParityResult(
-        n_shards=n_shards,
-        seed=seed,
-        sha_inprocess=report_in.sha256,
-        sha_multiprocess=report_mp.sha256,
-        shard_hashes_inprocess=tuple(report_in.shard_hashes),
-        shard_hashes_multiprocess=tuple(report_mp.shard_hashes),
-        n_records=len(report_in.trace.records),
-    )
-
-
-# ----------------------------------------------------------------------
-# Policy pass: convergence under churn must replay bit-for-bit
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolicyDeterminismResult:
-    """Verdict for one scheduler with a converger steering the EC pool.
-
-    The policy plane is *not* an observer — it launches and drains
-    machines — so its contract is the strong one: two seeded runs with
-    the same policy set, spot preemption active mid-convergence, must
-    agree on the job-trace hash **and** on the converger's audit-log
-    sha256 (every tick's observation, winner, and steps).
-    """
-
-    scheduler: str
-    hash_a: str
-    hash_b: str
-    audit_a: str
-    audit_b: str
-    n_records: int
-    ticks: int
-    steps_applied: int
-    preemptions: int
-    divergence: Optional[Divergence] = None
-
-    @property
-    def deterministic(self) -> bool:
-        return self.hash_a == self.hash_b and self.audit_a == self.audit_b
-
-    def render(self) -> str:
-        if self.deterministic:
-            return (
-                f"{self.scheduler:>8}: OK  {self.n_records} records, "
-                f"{self.ticks} ticks, {self.steps_applied} steps, "
-                f"{self.preemptions} preemptions, "
-                f"audit {self.audit_a[:16]}"
-            )
-        if self.hash_a != self.hash_b:
-            detail = (
-                self.divergence.render() if self.divergence else "hashes differ"
-            )
-        else:
-            detail = (
-                f"audit hashes differ: {self.audit_a[:16]} vs "
-                f"{self.audit_b[:16]}"
-            )
-        return f"{self.scheduler:>8}: FAIL  {detail}"
 
 
 def _policy_check_config() -> "PolicyConfig":
@@ -591,241 +359,234 @@ def _policy_check_config() -> "PolicyConfig":
     )
 
 
-def check_scheduler_policy(
-    scheduler_name: str,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> PolicyDeterminismResult:
-    """Double-run one scheduler with invariants, spot churn, and a
-    capacity-holding policy attached; compare trace + audit hashes."""
-    from ..econ import EconConfig, SpotMarketConfig, attach_econ
-    from ..policy import PolicyRuntime, attach_policy
+def _attach_check_policy(env: CloudBurstEnvironment) -> None:
+    from ..policy import attach_policy
 
-    econ_config = EconConfig(
-        spot=SpotMarketConfig(bid_usd_per_hour=0.13, variation=0.4)
-    )
-    policy_config = _policy_check_config()
-    batches = build_workload(spec)
-    holder: dict[str, PolicyRuntime] = {}
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        install_invariants(env)
-        attach_econ(env, econ_config)
-        holder["policy"] = attach_policy(env, policy_config)
-
-    trace_a = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    runtime = holder["policy"]
-    trace_b = run_one(scheduler_name, spec, batches=batches, env_hook=hook)
-    hash_a, hash_b = hash_trace(trace_a), hash_trace(trace_b)
-    meta_a = trace_a.metadata["policy"]
-    meta_b = trace_b.metadata["policy"]
-    divergence = None
-    if hash_a != hash_b:
-        divergence = first_divergence(trace_a, trace_b)
-    totals = runtime.converger.step_totals()
-    return PolicyDeterminismResult(
-        scheduler=scheduler_name,
-        hash_a=hash_a,
-        hash_b=hash_b,
-        audit_a=str(meta_a["audit_sha256"]),
-        audit_b=str(meta_b["audit_sha256"]),
-        n_records=len(trace_a.records),
-        ticks=runtime.converger.ticks,
-        steps_applied=sum(
-            n for kind, n in totals.items() if kind != "failed"
-        ),
-        preemptions=int(trace_a.metadata["econ"]["preemptions"]),
-        divergence=divergence,
-    )
+    attach_policy(env, _policy_check_config())
 
 
-def check_policy(
-    schedulers: Sequence[str] = ECON_SCHEDULERS,
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> list[PolicyDeterminismResult]:
-    """The policy half of ``repro check``: audit verdicts per scheduler."""
-    return [check_scheduler_policy(name, spec=spec) for name in schedulers]
+def _attach_idle_policy(env: CloudBurstEnvironment) -> None:
+    """A converger whose one policy can never trigger."""
+    from ..policy import ConvergerConfig, PolicyConfig, ScalingPolicy, attach_policy
 
-
-@dataclass(frozen=True)
-class PolicyIdleResult:
-    """Outcome of the idle-policy parity witness.
-
-    A converger whose policies never trigger adds events to the loop
-    but must not move a single hashed bit — the job trace with an
-    attached-but-idle policy plane hashes identically to a run with no
-    policy plane at all. (Runs with the plane *not attached* are the
-    seed bit-for-bit by construction; every other pass certifies that.)
-    """
-
-    scheduler: str
-    hash_plain: str
-    hash_idle: str
-    ticks: int
-
-    @property
-    def invisible(self) -> bool:
-        return self.hash_plain == self.hash_idle
-
-    def render(self) -> str:
-        label = "idle"
-        if self.invisible:
-            return (
-                f"{label:>8}: OK  idle policy invisible over "
-                f"{self.ticks} ticks (trace {self.hash_plain[:16]})"
-            )
-        return (
-            f"{label:>8}: FAIL  trace hash moved under an idle policy: "
-            f"{self.hash_plain[:16]} vs {self.hash_idle[:16]}"
-        )
-
-
-def check_policy_idle(
-    scheduler: str = "Op",
-    spec: ExperimentSpec = DEFAULT_SPEC,
-) -> PolicyIdleResult:
-    """Prove a never-triggering policy set cannot move the trace hash."""
-    from ..policy import (
-        ConvergerConfig,
-        PolicyConfig,
-        PolicyRuntime,
-        ScalingPolicy,
-        attach_policy,
-    )
-
-    idle_config = PolicyConfig(
-        policies=(
-            ScalingPolicy(
-                name="never", trigger="queue", queue_at_least=10**9,
-                action="step_up",
+    attach_policy(
+        env,
+        PolicyConfig(
+            policies=(
+                ScalingPolicy(
+                    name="never", trigger="queue", queue_at_least=10**9,
+                    action="step_up",
+                ),
             ),
+            converger=ConvergerConfig(interval_s=120.0),
         ),
-        converger=ConvergerConfig(interval_s=120.0),
-    )
-    batches = build_workload(spec)
-    trace_plain = run_one(scheduler, spec, batches=batches)
-    holder: dict[str, PolicyRuntime] = {}
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        holder["policy"] = attach_policy(env, idle_config)
-
-    trace_idle = run_one(scheduler, spec, batches=batches, env_hook=hook)
-    return PolicyIdleResult(
-        scheduler=scheduler,
-        hash_plain=hash_trace(trace_plain),
-        hash_idle=hash_trace(trace_idle),
-        ticks=holder["policy"].converger.ticks,
     )
 
 
-# ----------------------------------------------------------------------
-# Obs pass: telemetry must be a pure observer
-# ----------------------------------------------------------------------
+def _paper_run(scheduler: str, ctx: CheckContext) -> Run:
+    trace = _run(scheduler, ctx, *_invariants(ctx))
+    return Run({"trace": trace}, {"records": len(trace.records)})
 
 
-@dataclass(frozen=True)
-class ObsParityResult:
-    """Outcome of the observer pass: telemetry on vs off, one answer.
-
-    :mod:`repro.obs` promises to be a *pure observer*: attaching the
-    metrics registry and span recorder may add data to
-    ``trace.metadata`` but must not move a single hashed bit. This pass
-    certifies both halves of that contract — the single-environment
-    trace hash (telemetry attached vs not) and the fleet digest
-    (``FleetConfig(telemetry=...)`` on vs off).
-    """
-
-    scheduler: str
-    hash_plain: str
-    hash_obs: str
-    fleet_sha_plain: str
-    fleet_sha_obs: str
-    n_records: int
-    n_metric_families: int
-    spans_kept: int
-    registry_sha: str
-
-    @property
-    def invisible(self) -> bool:
-        return (
-            self.hash_plain == self.hash_obs
-            and self.fleet_sha_plain == self.fleet_sha_obs
-        )
-
-    def render(self) -> str:
-        label = "obs"
-        if self.invisible:
-            return (
-                f"{label:>8}: OK  telemetry invisible "
-                f"({self.n_metric_families} families, "
-                f"{self.spans_kept} spans, "
-                f"registry {self.registry_sha[:16]})"
-            )
-        if self.hash_plain != self.hash_obs:
-            detail = (
-                "trace hash moved when telemetry attached: "
-                f"{self.hash_plain[:16]} vs {self.hash_obs[:16]}"
-            )
-        else:
-            detail = (
-                "fleet sha moved under telemetry: "
-                f"{self.fleet_sha_plain[:16]} vs {self.fleet_sha_obs[:16]}"
-            )
-        return f"{label:>8}: FAIL  {detail}"
+def _econ_run(scheduler: str, ctx: CheckContext) -> Run:
+    trace = _run(scheduler, ctx, *_invariants(ctx), _attach_spot_econ)
+    econ = trace.metadata["econ"]
+    return Run(
+        {"trace": trace, "ledger": str(econ["ledger_sha256"])},
+        {"records": len(trace.records), "preemptions": int(econ["preemptions"])},
+    )
 
 
-def check_obs_parity(
-    scheduler: str = "Op",
-    spec: ExperimentSpec = DEFAULT_SPEC,
-    n_shards: int = 4,
-    n_jobs: int = 200,
-    seed: int = 2024,
-) -> ObsParityResult:
-    """Prove telemetry cannot move a digest.
+def _policy_run(scheduler: str, ctx: CheckContext) -> Run:
+    trace = _run(
+        scheduler, ctx, *_invariants(ctx), _attach_spot_econ, _attach_check_policy
+    )
+    policy = trace.metadata["policy"]
+    steps = policy["summary"]["steps"]
+    return Run(
+        {"trace": trace, "audit": str(policy["audit_sha256"])},
+        {
+            "records": len(trace.records),
+            "ticks": int(policy["summary"]["ticks"]),
+            "steps": sum(n for kind, n in steps.items() if kind != "failed"),
+            "preemptions": int(trace.metadata["econ"]["preemptions"]),
+        },
+    )
 
-    Two witnesses, both on identical seeded workloads:
 
-    * one environment run twice — bare, then with
-      :func:`repro.obs.attach_obs` recording the full metric catalogue
-      and span stream — must produce one trace hash;
-    * one sharded fleet run twice — ``telemetry=False``, then
-      ``telemetry=True`` with worker-plane meters armed — must produce
-      one fleet SHA-256.
-    """
+def _idle_run(attached: bool, scheduler: str, ctx: CheckContext) -> Run:
+    trace = _run(scheduler, ctx, *((_attach_idle_policy,) if attached else ()))
+    stats: dict[str, Union[int, str]] = {"records": len(trace.records)}
+    if attached:
+        stats["ticks"] = int(trace.metadata["policy"]["summary"]["ticks"])
+    return Run({"trace": trace}, stats)
+
+
+def _fleet_load(
+    scheduler: str,
+    ctx: CheckContext,
+    n_jobs: int,
+    *,
+    registry: "Optional[TenantRegistry]" = None,
+    executor: Optional[str] = None,
+    telemetry: bool = True,
+) -> "FleetReport":
+    """One seeded open-loop fleet run; its merged report."""
+    # Local import: repro.fleet builds on this module's hash_trace.
     from ..fleet import FleetConfig, FleetLoadConfig, run_fleet_load
-    from ..obs import ObsRuntime, attach_obs
 
-    batches = build_workload(spec)
-    trace_plain = run_one(scheduler, spec, batches=batches)
-    holder: dict[str, ObsRuntime] = {}
-
-    def hook(env: "CloudBurstEnvironment") -> None:
-        holder["obs"] = attach_obs(env)
-
-    trace_obs = run_one(scheduler, spec, batches=batches, env_hook=hook)
-    obs_meta = trace_obs.metadata["obs"]
-    assert isinstance(obs_meta, dict)
-
-    def fleet_sha(telemetry: bool) -> str:
-        result = run_fleet_load(
-            FleetConfig(
-                n_shards=n_shards,
-                seed=seed,
-                scheduler=scheduler,
-                telemetry=telemetry,
-            ),
-            FleetLoadConfig(n_jobs=n_jobs, rate_per_s=50.0, seed=seed),
-        )
-        return str(result.report.sha256)
-
-    runtime = holder["obs"]
-    return ObsParityResult(
-        scheduler=scheduler,
-        hash_plain=hash_trace(trace_plain),
-        hash_obs=hash_trace(trace_obs),
-        fleet_sha_plain=fleet_sha(False),
-        fleet_sha_obs=fleet_sha(True),
-        n_records=len(trace_obs.records),
-        n_metric_families=len(runtime.registry.families()),
-        spans_kept=len(runtime.spans),
-        registry_sha=str(obs_meta["registry_sha256"]),
+    result = run_fleet_load(
+        FleetConfig(
+            n_shards=ctx.n_shards,
+            seed=ctx.fleet_seed,
+            scheduler=scheduler,
+            telemetry=telemetry,
+        ),
+        FleetLoadConfig(n_jobs=n_jobs, rate_per_s=50.0, seed=ctx.fleet_seed),
+        registry=registry,
+        executor=executor,
     )
+    return result.report
+
+
+def _fleet_run(scheduler: str, ctx: CheckContext) -> Run:
+    from ..fleet import BRONZE, TenantRegistry, TenantSpec, default_registry
+
+    registry = TenantRegistry(list(default_registry(11)))
+    # A deliberately starved tenant: the quota refusal path must be
+    # part of what the digest certifies.
+    registry.register(
+        TenantSpec(tenant_id="starved-012", sla_class=BRONZE, quota_jobs=5)
+    )
+    report = _fleet_load(scheduler, ctx, ctx.fleet_jobs, registry=registry)
+    return Run(
+        {"fleet": report},
+        {
+            "records": len(report.trace.records),
+            "quota refusals": report.quota_rejected,
+        },
+    )
+
+
+def _exec_run(executor: str, scheduler: str, ctx: CheckContext) -> Run:
+    report = _fleet_load(scheduler, ctx, ctx.fleet_jobs // 2, executor=executor)
+    return Run({"fleet": report}, {"records": len(report.trace.records)})
+
+
+def _obs_run(attached: bool, scheduler: str, ctx: CheckContext) -> Run:
+    from ..obs import attach_obs
+
+    trace = _run(scheduler, ctx, *((attach_obs,) if attached else ()))
+    report = _fleet_load(
+        scheduler, ctx, ctx.fleet_jobs // 2, telemetry=attached
+    )
+    stats: dict[str, Union[int, str]] = {"records": len(trace.records)}
+    if attached:
+        obs = trace.metadata["obs"]
+        stats["families"] = len(obs["registry"]["families"])
+        stats["spans"] = int(obs["spans"]["summary"]["kept"])
+        stats["registry"] = str(obs["registry_sha256"])
+    return Run({"trace": trace, "fleet": report}, stats)
+
+
+# ----------------------------------------------------------------------
+# The table
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ParityPass:
+    """One row of the ``repro check`` table: two run builders to compare."""
+
+    name: str
+    #: One line on what runs twice and what must agree.
+    header: str
+    run_a: Builder
+    run_b: Builder
+    #: The schedulers a per-scheduler pass covers (``--scheduler``
+    #: narrows them); ``None`` runs the pass once, on ONCE_SCHEDULER.
+    schedulers: Optional[tuple[str, ...]] = None
+    #: Result label, formatted with ``scheduler`` and ``ctx``.
+    label: str = "{scheduler}"
+
+    def schedulers_for(
+        self, selection: Optional[Sequence[str]] = None
+    ) -> tuple[str, ...]:
+        if self.schedulers is None:
+            return (ONCE_SCHEDULER,)
+        return tuple(selection) if selection else self.schedulers
+
+    def heading(self, selection: Optional[Sequence[str]] = None) -> str:
+        if self.schedulers is None:
+            return f"{self.name} check: {self.header}"
+        n = len(self.schedulers_for(selection))
+        return f"{self.name} check: {n} scheduler(s), {self.header}"
+
+    def check(self, scheduler: str, ctx: CheckContext) -> ParityResult:
+        """Build both runs for ``scheduler`` and compare their witnesses."""
+        return compare(
+            self.label.format(scheduler=scheduler, ctx=ctx),
+            self.run_a(scheduler, ctx),
+            self.run_b(scheduler, ctx),
+        )
+
+    def results(
+        self, ctx: CheckContext, selection: Optional[Sequence[str]] = None
+    ) -> Iterator[ParityResult]:
+        for scheduler in self.schedulers_for(selection):
+            yield self.check(scheduler, ctx)
+
+
+#: Every pass ``repro check`` runs, in order.
+PASSES: tuple[ParityPass, ...] = (
+    ParityPass(
+        "paper",
+        "double-run, trace hash",
+        _paper_run,
+        _paper_run,
+        schedulers=PAPER_SCHEDULERS,
+    ),
+    ParityPass(
+        "econ",
+        "double-run with billing + spot preemption, trace + ledger hashes",
+        _econ_run,
+        _econ_run,
+        schedulers=ECON_SCHEDULERS,
+    ),
+    ParityPass(
+        "fleet",
+        "multi-tenant sharded double-run, merged trace/ledger/stats digest",
+        _fleet_run,
+        _fleet_run,
+        label="fleet[{ctx.n_shards}]",
+    ),
+    ParityPass(
+        "exec",
+        "one fleet workload under the inprocess and multiprocess "
+        "executors, one digest",
+        partial(_exec_run, "inprocess"),
+        partial(_exec_run, "multiprocess"),
+        label="exec[{ctx.n_shards}]",
+    ),
+    ParityPass(
+        "obs",
+        "telemetry off vs on, trace hash and fleet digest must not move",
+        partial(_obs_run, False),
+        partial(_obs_run, True),
+        label="obs",
+    ),
+    ParityPass(
+        "policy",
+        "convergence autoscaler under spot churn, trace + audit double-run",
+        _policy_run,
+        _policy_run,
+        schedulers=ECON_SCHEDULERS,
+    ),
+    ParityPass(
+        "idle",
+        "no policy vs a never-firing one, trace hash must not move",
+        partial(_idle_run, False),
+        partial(_idle_run, True),
+        label="idle",
+    ),
+)

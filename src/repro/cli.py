@@ -8,19 +8,14 @@ can gate on them:
 * ``repro lint [paths...]`` — run the custom AST lint
   (:mod:`repro.analysis.lint`) over source trees; defaults to the
   installed ``repro`` package itself. Exit 1 on any violation.
-* ``repro check [--scheduler NAME] [--no-econ] [--no-fleet] [--no-obs]``
-  — the
-  determinism harness (:mod:`repro.analysis.determinism`): run each
-  paper scheduler twice on the same seeded workload with runtime
-  invariants enabled and compare trace hashes; then repeat with cost
-  accounting and spot preemption attached, additionally comparing
-  ``CostLedger`` hashes; then double-run a small sharded multi-tenant
-  fleet and compare the merged trace/stats/ledger digest; then run
-  the obs-parity pass — telemetry attached vs not, neither the trace
-  hash nor the fleet digest may move; finally the policy pass — the
-  convergence autoscaler under spot churn, double-run comparing both
-  the trace hash and the convergence audit sha256, plus the idle-policy
-  parity run (attached-but-idle trace == no-policy trace). Exit 1 on
+* ``repro check [--scheduler NAME] [--seed N] [--no-invariants]
+  [--no-lint]`` — the determinism harness
+  (:mod:`repro.analysis.determinism`): after the static lint gate, walk
+  the table of parity passes. Double runs (paper, econ, fleet, policy)
+  build the same seeded run twice; parity runs (exec, obs, idle) build
+  one workload two ways that must not differ. Every pass compares its
+  witnesses — trace hashes, ledger and audit hashes, fleet digests —
+  and names the first divergent record on failure. Exit 1 on
   divergence or invariant violation.
 * ``repro typecheck`` — ``mypy --strict`` over the typed core
   (``repro.sim.engine``, ``repro.core``, ``repro.analysis``). Skips with
@@ -209,22 +204,13 @@ def _lint_gate() -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .analysis.determinism import (
-        ECON_SCHEDULERS,
-        check_determinism,
-        check_econ,
-        check_executor_parity,
-        check_fleet,
-        check_obs_parity,
-        check_policy,
-        check_policy_idle,
-    )
-    from .analysis.invariants import InvariantError
-    from .experiments.config import DEFAULT_SPEC
-    from .experiments.runner import PAPER_SCHEDULERS, SCHEDULER_NAMES
+    from dataclasses import replace
 
-    schedulers: Sequence[str] = args.scheduler or list(PAPER_SCHEDULERS)
-    unknown = [s for s in schedulers if s not in SCHEDULER_NAMES]
+    from .analysis.determinism import PASSES, CheckContext
+    from .analysis.invariants import InvariantError
+    from .experiments.runner import SCHEDULER_NAMES
+
+    unknown = [s for s in args.scheduler or () if s not in SCHEDULER_NAMES]
     if unknown:
         print(
             f"repro check: unknown scheduler(s) {unknown}; "
@@ -236,82 +222,22 @@ def _cmd_check(args: argparse.Namespace) -> int:
         exit_code = _lint_gate()
         if exit_code:
             return exit_code
-    spec = DEFAULT_SPEC
+    ctx = CheckContext(invariants=not args.no_invariants)
     if args.seed is not None:
-        spec = spec.with_seed(args.seed)
+        ctx = replace(
+            ctx, spec=ctx.spec.with_seed(args.seed), fleet_seed=args.seed
+        )
     print(
-        f"determinism check: {len(schedulers)} scheduler(s), "
-        f"double-run with invariants "
-        f"{'on' if not args.no_invariants else 'off'}"
+        f"repro check: {len(PASSES)} passes, runtime invariants "
+        f"{'off' if args.no_invariants else 'on'}"
     )
     failed = False
     try:
-        results = check_determinism(
-            schedulers, spec=spec, invariants=not args.no_invariants
-        )
-        for result in results:
-            print(result.render())
-            failed = failed or not result.deterministic
-        if not args.no_econ:
-            econ_schedulers = (
-                args.scheduler if args.scheduler else list(ECON_SCHEDULERS)
-            )
-            print(
-                f"econ check: {len(econ_schedulers)} scheduler(s), "
-                "double-run with billing + spot preemption, ledger hashes"
-            )
-            for econ_result in check_econ(econ_schedulers, spec=spec):
-                print(econ_result.render())
-                failed = failed or not econ_result.deterministic
-        if not args.no_fleet:
-            print(
-                "fleet check: 4-shard multi-tenant double-run, "
-                "merged trace/ledger/stats digest"
-            )
-            fleet_result = check_fleet(
-                seed=args.seed if args.seed is not None else 2024
-            )
-            print(fleet_result.render())
-            failed = failed or not fleet_result.deterministic
-            print(
-                "executor parity: same 4-shard workload under inprocess "
-                "and multiprocess executors, one digest"
-            )
-            parity_result = check_executor_parity(
-                seed=args.seed if args.seed is not None else 2024
-            )
-            print(parity_result.render())
-            failed = failed or not parity_result.identical
-        if not args.no_obs:
-            print(
-                "obs check: telemetry on vs off, trace hash and fleet "
-                "digest must not move"
-            )
-            obs_result = check_obs_parity(
-                spec=spec,
-                seed=args.seed if args.seed is not None else 2024,
-            )
-            print(obs_result.render())
-            failed = failed or not obs_result.invisible
-        if not args.no_policy:
-            policy_schedulers = (
-                args.scheduler if args.scheduler else list(ECON_SCHEDULERS)
-            )
-            print(
-                f"policy check: {len(policy_schedulers)} scheduler(s), "
-                "convergence autoscaler under spot churn, "
-                "trace + audit sha256 double-run"
-            )
-            for policy_result in check_policy(policy_schedulers, spec=spec):
-                print(policy_result.render())
-                failed = failed or not policy_result.deterministic
-            print(
-                "policy idle parity: never-firing policy attached, "
-                "trace hash must equal the no-policy run"
-            )
-            idle_result = check_policy_idle(spec=spec)
-            print(idle_result.render())
-            failed = failed or not idle_result.invisible
+        for parity_pass in PASSES:
+            print(parity_pass.heading(args.scheduler))
+            for result in parity_pass.results(ctx, args.scheduler):
+                print(result.render())
+                failed = failed or not result.ok
     except InvariantError as exc:
         print(f"invariant violated during check run: {exc}", file=sys.stderr)
         return 1
@@ -468,10 +394,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--scheduler",
         action="append",
-        help="scheduler to check (repeatable; default: the paper's four)",
+        help=(
+            "narrow the per-scheduler passes to this scheduler "
+            "(repeatable; default: each pass's own set)"
+        ),
     )
     p_check.add_argument(
-        "--seed", type=int, default=None, help="override the workload seed"
+        "--seed",
+        type=int,
+        default=None,
+        help="override the workload and fleet seed",
     )
     p_check.add_argument(
         "--no-invariants",
@@ -479,29 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="hash-compare only, without the runtime invariant checker",
     )
     p_check.add_argument(
-        "--no-econ",
-        action="store_true",
-        help="skip the econ pass (billing/penalty/ledger determinism)",
-    )
-    p_check.add_argument(
-        "--no-fleet",
-        action="store_true",
-        help="skip the fleet pass (cross-shard merged-digest determinism)",
-    )
-    p_check.add_argument(
-        "--no-obs",
-        action="store_true",
-        help="skip the obs pass (telemetry observer-invisibility parity)",
-    )
-    p_check.add_argument(
         "--no-lint",
         action="store_true",
-        help="skip the static lint gate that runs before the double-run",
-    )
-    p_check.add_argument(
-        "--no-policy",
-        action="store_true",
-        help="skip the policy pass (convergence-audit determinism + idle parity)",
+        help="skip the static lint gate that runs before the passes",
     )
     p_check.set_defaults(func=_cmd_check)
 

@@ -1,4 +1,4 @@
-"""Fleet executor layer: parity, crash handling, drains, deprecations.
+"""Fleet executor layer: parity, crash handling, drains, removed aliases.
 
 The contracts under test, from ISSUE 8:
 
@@ -11,9 +11,9 @@ The contracts under test, from ISSUE 8:
   books fold in exactly as if the parent had drained it;
 * **strict mode** — ``repro fleet loadgen --strict`` exits nonzero when
   any shard was lost;
-* **one-release aliases** — ``Tenant``/``pretrain_samples`` and the
-  old error envelope keep working behind ``DeprecationWarning``s, and
-  positional config construction fails loudly.
+* **expired aliases stay gone** — ``Tenant``/``pretrain_samples`` are
+  no longer accepted, the pre-v1 error envelope parses as ``"unknown"``,
+  and positional config construction fails loudly.
 """
 
 from __future__ import annotations
@@ -66,11 +66,14 @@ def tenants_by_shard(manager: FleetManager) -> dict[int, str]:
 # ----------------------------------------------------------------------
 class TestExecutorParity:
     def test_both_executors_produce_one_digest(self):
-        from repro.analysis.determinism import check_executor_parity
+        from repro.analysis.determinism import PASSES, CheckContext
 
-        result = check_executor_parity(n_shards=2, n_jobs=80, seed=7)
-        assert result.identical, result.render()
-        assert result.sha_inprocess == result.sha_multiprocess
+        exec_pass = next(p for p in PASSES if p.name == "exec")
+        ctx = CheckContext(fleet_seed=7, n_shards=2, fleet_jobs=160)
+        result = exec_pass.check("Op", ctx)
+        assert result.ok, result.render()
+        fleet = result.witnesses["fleet"]
+        assert fleet.hash_a == fleet.hash_b  # inprocess == multiprocess
         assert "OK" in result.render()
 
     def test_manager_ops_agree_across_executors(self):
@@ -282,15 +285,18 @@ class TestFleetClient:
         assert err.code == "unknown_tenant"
         assert err.path == "/v1/jobs"
 
-    def test_old_envelope_parses_with_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="pre-v1 error envelope"):
+    def test_old_envelope_takes_unknown_path(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             err = parse_error(
                 400,
                 {"error": {"type": "schema_violation", "message": "bad",
                            "details": [{"path": "$.n_jobs"}]}},
             )
-        assert err.code == "schema_violation"
-        assert err.path == "$.n_jobs"
+        assert err.status == 400
+        assert err.code == "unknown"
+        assert err.path == ""
+        assert "schema_violation" in str(err)
 
     def test_https_refused(self):
         with pytest.raises(ValueError, match="plain http"):
@@ -298,33 +304,44 @@ class TestFleetClient:
 
 
 # ----------------------------------------------------------------------
-# One-release aliases and loud failures
+# Expired aliases and loud failures
 # ----------------------------------------------------------------------
 class TestDeprecationAliases:
-    def test_tenant_alias_warns_and_is_tenantspec(self):
+    def test_tenant_alias_removed(self):
         import repro.fleet as fleet
         import repro.fleet.tenants as tenants_mod
 
         for module in (fleet, tenants_mod):
-            with pytest.warns(DeprecationWarning, match="TenantSpec"):
-                alias = module.Tenant
-            assert alias is TenantSpec
+            with pytest.raises(AttributeError, match="Tenant"):
+                module.Tenant
+            assert "Tenant" not in module.__all__
 
-    def test_pretrain_samples_kwarg_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="pretrain_jobs"):
-            config = FleetConfig(n_shards=2, pretrain_samples=33)
-        assert config.pretrain_jobs == 33
+    def test_pretrain_samples_kwarg_rejected(self):
+        with pytest.raises(TypeError, match="pretrain_samples"):
+            FleetConfig(n_shards=2, pretrain_samples=33)
 
-    def test_pretrain_samples_property_warns(self):
+    def test_pretrain_samples_property_removed(self):
         config = FleetConfig(n_shards=2, pretrain_jobs=33)
-        with pytest.warns(DeprecationWarning, match="pretrain_jobs"):
-            assert config.pretrain_samples == 33
+        assert config.pretrain_jobs == 33
+        with pytest.raises(AttributeError):
+            config.pretrain_samples
 
     def test_both_pretrain_spellings_is_an_error(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(TypeError, match="both"):
-                FleetConfig(pretrain_jobs=10, pretrain_samples=10)
+        with pytest.raises(TypeError, match="pretrain_samples"):
+            FleetConfig(pretrain_jobs=10, pretrain_samples=10)
+
+    def test_config_defaults_and_validation(self):
+        config = FleetConfig()
+        assert (config.n_shards, config.seed, config.scheduler) == (4, 2024, "Op")
+        assert config.pretrain_jobs == 400
+        with pytest.raises(ValueError, match="n_shards"):
+            FleetConfig(n_shards=0)
+        with pytest.raises(ValueError, match="pretrain_jobs"):
+            FleetConfig(pretrain_jobs=0)
+        with pytest.raises(ValueError, match="timeouts"):
+            FleetConfig(command_timeout_s=0.0)
+        with pytest.raises(ValueError, match="command_queue_depth"):
+            FleetConfig(command_queue_depth=0)
 
     def test_configs_reject_positional_construction(self):
         from repro.fleet import FleetLoadConfig

@@ -12,7 +12,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.determinism import ObsParityResult, check_obs_parity, hash_trace
+from repro.analysis.determinism import (
+    PASSES,
+    CheckContext,
+    ParityResult,
+    Witness,
+    hash_trace,
+)
 from repro.experiments.runner import make_scheduler
 from repro.obs import ObsConfig, ObsRuntime, attach_obs
 from repro.sim.environment import CloudBurstEnvironment
@@ -62,26 +68,25 @@ class TestTraceParity:
 
 class TestCheckObsParity:
     def test_check_reports_invisible(self):
-        result = check_obs_parity(n_shards=2, n_jobs=80)
-        assert isinstance(result, ObsParityResult)
-        assert result.invisible
-        assert result.hash_plain == result.hash_obs
-        assert result.fleet_sha_plain == result.fleet_sha_obs
-        assert result.n_metric_families >= 10
-        assert result.spans_kept > 0
+        obs_pass = next(p for p in PASSES if p.name == "obs")
+        result = obs_pass.check("Op", CheckContext(n_shards=2, fleet_jobs=160))
+        assert isinstance(result, ParityResult)
+        assert result.ok
+        trace, fleet = result.witnesses["trace"], result.witnesses["fleet"]
+        assert trace.hash_a == trace.hash_b
+        assert fleet.hash_a == fleet.hash_b
+        assert result.stats["families"] >= 10
+        assert result.stats["spans"] > 0
         assert "OK" in result.render()
 
     def test_render_flags_divergence(self):
-        broken = ObsParityResult(
-            scheduler="Op",
-            hash_plain="aaaa",
-            hash_obs="bbbb",
-            fleet_sha_plain="cccc",
-            fleet_sha_obs="cccc",
-            n_records=1,
-            n_metric_families=13,
-            spans_kept=1,
-            registry_sha="dddd",
+        broken = ParityResult(
+            label="obs",
+            witnesses={
+                "trace": Witness("aaaa", "bbbb", "hashes differ"),
+                "fleet": Witness("cccc", "cccc"),
+            },
+            stats={"records": 1, "families": 13, "spans": 1, "registry": "dddd"},
         )
-        assert not broken.invisible
+        assert not broken.ok
         assert "FAIL" in broken.render()
