@@ -1,7 +1,8 @@
 """Ablation — autonomic elastic EC scaling (Section V.B.4 future work).
 
-Compares a statically over-provisioned EC pool (6 instances) against the
-queue-driven autoscaler over the same workload. The paper's policy goal:
+Compares a statically over-provisioned EC pool (6 instances) against a
+queue-driven convergence autoscaler (:mod:`repro.policy`) over the same
+workload. The paper's policy goal:
 "the scaling (at EC) must be just enough to ensure saturation of the
 download bandwidth" — i.e. pay for far fewer machine-seconds without
 giving back the makespan.
@@ -11,12 +12,20 @@ import numpy as np
 
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import build_workload, run_one
-from repro.sim.autoscale import ECAutoScaler
+from repro.policy import Converger, ConvergerConfig, PolicySet, ScalingPolicy
 from repro.sim.environment import SystemConfig
 from repro.workload.distributions import Bucket
 
 SPEC = ExperimentSpec(bucket=Bucket.LARGE, n_batches=5,
                       system=SystemConfig(seed=91, ec_machines=6))
+
+#: Queue pressure outranks sustained idling; one machine per step in [1, 6].
+POLICIES = PolicySet((
+    ScalingPolicy(name="queue-up", trigger="queue", action="step_up",
+                  severity=10, min_capacity=1, max_capacity=6),
+    ScalingPolicy(name="idle-down", trigger="idle", action="step_down",
+                  sustain_periods=2, min_capacity=1, max_capacity=6),
+))
 
 
 def _run_matrix():
@@ -28,21 +37,23 @@ def _run_matrix():
         scalers = []
 
         def hook(env):
-            scalers.append(
-                ECAutoScaler(env.sim, env.ec, min_instances=1,
-                             max_instances=6, interval_s=60.0)
-            )
+            # Gross basis: draining machines still count (they are billed).
+            converger = Converger(env.sim, env.ec, POLICIES, ConvergerConfig(
+                interval_s=60.0, basis="gross", delete_offline=False))
+            converger.start()
+            scalers.append(converger)
 
         elastic = run_one("Op", spec, batches=batches, env_hook=hook)
-        summary = scalers[0].summary()
+        totals = scalers[0].step_totals()
         rows.append({
             "seed": seed,
             "static_mk": static.makespan,
             "elastic_mk": elastic.makespan,
             "static_cost": 6.0 * (static.end_time - static.arrival_time),
-            "elastic_cost": summary["rented_machine_s"],
-            "ups": summary["scale_ups"],
-            "downs": summary["scale_downs"],
+            "elastic_cost": scalers[0].cluster.rented_machine_seconds,
+            # A launch is up; any other applied step is down.
+            "ups": totals["launch"],
+            "downs": totals["drain"] + totals["delete"],
         })
     return rows
 

@@ -8,7 +8,8 @@ Section V.B.4 states the policy: scale the EC "just enough to ensure
 saturation of the download bandwidth".
 
 This example runs the same workload three ways — a small static pool, a
-large static pool, and the queue-driven autoscaler — and compares makespan
+large static pool, and a queue-driven convergence autoscaler
+(:mod:`repro.policy`) — and compares makespan
 against rented machine-seconds (the pay-as-you-go cost proxy). It also
 prints the analytic saturation knee the autoscaler should hover around.
 
@@ -18,7 +19,7 @@ Run:  python examples/elastic_scaling.py
 from repro import Bucket, summarize
 from repro.experiments import ExperimentSpec, build_workload, run_one
 from repro.experiments.scaling import ec_instances_for_saturation
-from repro.sim.autoscale import ECAutoScaler
+from repro.policy import Converger, ConvergerConfig, PolicySet, ScalingPolicy
 from repro.sim.environment import SystemConfig
 from repro.workload.stats import workload_stats
 
@@ -50,26 +51,33 @@ def main() -> None:
         cost = n * (trace.end_time - trace.arrival_time)
         rows.append((f"static x{n}", trace.makespan, cost, n))
 
-    # The autonomic pool.
+    # The autonomic pool: scale up on a queue, down after two idle ticks.
+    policies = PolicySet((
+        ScalingPolicy(name="queue-up", trigger="queue", action="step_up",
+                      severity=10, min_capacity=1, max_capacity=6),
+        ScalingPolicy(name="idle-down", trigger="idle", action="step_down",
+                      sustain_periods=2, min_capacity=1, max_capacity=6),
+    ))
     scalers = []
 
     def hook(env):
-        scalers.append(
-            ECAutoScaler(env.sim, env.ec, min_instances=1, max_instances=6,
-                         interval_s=60.0, knee=None)
-        )
+        converger = Converger(env.sim, env.ec, policies, ConvergerConfig(
+            interval_s=60.0, basis="gross", delete_offline=False))
+        converger.start()
+        scalers.append(converger)
 
     trace = run_one("Op", spec, batches=batches, env_hook=hook)
-    summary = scalers[0].summary()
-    rows.append(("autoscaled", trace.makespan, summary["rented_machine_s"],
-                 summary["final_pool"]))
+    pool = scalers[0].cluster
+    totals = scalers[0].step_totals()
+    rows.append(("autoscaled", trace.makespan, pool.rented_machine_seconds,
+                 pool.n_machines))
 
     print(f"{'pool':>12} {'makespan_s':>11} {'rented machine-s':>17} {'final size':>11}")
     for name, mk, cost, size in rows:
         print(f"{name:>12} {mk:>11.1f} {cost:>17.0f} {size:>11}")
 
-    print(f"\nautoscaler actions: {summary['scale_ups']} up, "
-          f"{summary['scale_downs']} down")
+    print(f"\nautoscaler actions: {totals['launch']} up, "
+          f"{totals['drain'] + totals['delete']} down")
     print("reading: the autoscaler tracks the knee — near-static-x6 makespan")
     print("at a fraction of its rented machine-seconds, and it idles the pool")
     print("entirely once the burst drains (the paper's low-demand argument).")

@@ -47,6 +47,8 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from ..sim.plugins import EnvPlugin
+
 if TYPE_CHECKING:  # imports for annotations only; no runtime cycle
     from ..metrics.streaming import StreamingSLAStats
     from ..sim.engine import Event
@@ -96,8 +98,14 @@ class InvariantStats:
         )
 
 
-class EnvironmentInvariants:
-    """One checker bound to one environment instance (single-use, like it)."""
+class EnvironmentInvariants(EnvPlugin):
+    """One checker bound to one environment instance (single-use, like it).
+
+    Plugin ``"invariants"``: its lifecycle checks ride the admit and
+    completion hooks, and :meth:`finalize` contributes no metadata.
+    """
+
+    key = "invariants"
 
     def __init__(self, env: "CloudBurstEnvironment") -> None:
         self.env = env
@@ -116,7 +124,7 @@ class EnvironmentInvariants:
         env.sim.on_event = self._on_event
         for pipeline in self._pipelines():
             pipeline.on_transfer_start = self._on_transfer_start
-        env.invariants = self
+        env.attach(self)
         return self
 
     def _pipelines(self) -> list["TransferPipeline"]:
@@ -215,8 +223,12 @@ class EnvironmentInvariants:
                 f"(response {response}s)"
             )
 
-    def on_finish(self, trace: "RunTrace") -> None:
-        """End-of-run accounting once the drain loop declares victory."""
+    def finalize(self, trace: "RunTrace") -> None:
+        """End-of-run accounting once the drain loop declares victory.
+
+        With a broker attached this also runs :meth:`check_broker_counters`
+        (no verdict is issued during the drain, so the counters are final).
+        """
         self.stats.finishes_checked += 1
         if self.env.jobs_in_system != 0:
             raise InvariantError(
@@ -231,6 +243,9 @@ class EnvironmentInvariants:
             trace.validate()
         except ValueError as exc:
             raise InvariantError(f"final trace inconsistent: {exc}") from exc
+        broker = self.env.plugin("admission")
+        if broker is not None:
+            self.check_broker_counters(broker.stats)  # type: ignore[attr-defined]
 
     def check_broker_counters(self, stats: "StreamingSLAStats") -> None:
         """Broker-level conservation: every submission got exactly one verdict."""
@@ -250,5 +265,10 @@ class EnvironmentInvariants:
 
 
 def install_invariants(env: "CloudBurstEnvironment") -> EnvironmentInvariants:
-    """Build and attach a checker to ``env``; returns it for introspection."""
-    return EnvironmentInvariants(env).install()
+    """Attach a checker to ``env`` (once); returns it for introspection.
+
+    An environment that already has one (``REPRO_INVARIANTS=1`` installs
+    it at construction) keeps it: the existing checker is returned.
+    """
+    checker = env.plugin("invariants") or EnvironmentInvariants(env).install()
+    return checker  # type: ignore[return-value]

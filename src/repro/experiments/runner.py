@@ -50,7 +50,7 @@ SCHEDULER_FACTORIES: dict[str, Callable[[CloudBurstEnvironment], Scheduler]] = {
     # the default cost model.
     "CostAware": lambda env: CostAwareScheduler(
         env.estimator,
-        cost_model=env.econ.cost_model if env.econ is not None else None,
+        cost_model=getattr(env.plugin("econ"), "cost_model", None),
     ),
 }
 

@@ -26,8 +26,8 @@ tenant's derived :class:`~repro.service.policy.SLAPolicy` to
 :meth:`BurstBroker.submit` (promise pricing per SLA class), quota is
 checked before the broker ever sees the jobs (and, on the count-submit
 path the HTTP front uses, before any job is synthesised — an exhausted
-tenant raises :class:`QuotaExceededError` there), and a completion observer
-routes penalties — priced by the *tenant's* scaled schedule — into both
+tenant raises :class:`QuotaExceededError` there), and the shard's completion
+hook routes penalties — priced by the *tenant's* scaled schedule — into both
 the shard ledger and the tenant's own :class:`~repro.econ.penalties.
 CostLedger`.
 """
@@ -49,6 +49,7 @@ from ..service.broker import BurstBroker, SubmissionOutcome
 from ..service.policy import AdmissionDecision, AdmissionResult, SLAPolicy
 from ..service.quotes import SLAQuote, quote_job
 from ..sim.environment import CloudBurstEnvironment, SystemConfig
+from ..sim.plugins import EnvPlugin
 from ..sim.tracing import JobRecord, RunTrace
 from ..workload.distributions import Bucket
 from ..workload.document import Job
@@ -188,8 +189,15 @@ class ShardResult:
     policy: Optional[dict[str, object]] = None
 
 
-class BrokerShard:
-    """One broker partition: environment + session + per-tenant books."""
+class BrokerShard(EnvPlugin):
+    """One broker partition: environment + session + per-tenant books.
+
+    The shard is its environment's ``"fleet_shard"`` plugin: completions
+    land in the tenant books, and the shard block lands in
+    ``trace.metadata["fleet_shard"]``.
+    """
+
+    key = "fleet_shard"
 
     def __init__(
         self,
@@ -252,7 +260,7 @@ class BrokerShard:
         )
         self._next_job_id = 0
         self._next_group_id = 0
-        self.env.completion_observers.append(self._on_complete)
+        self.env.attach(self)
 
     # ------------------------------------------------------------------
     @property
@@ -355,15 +363,13 @@ class BrokerShard:
 
         for job in overflow:
             result = AdmissionResult(AdmissionDecision.REJECT, QUOTA_REASON)
-            # Quota refusals must flow through the same counters the
-            # broker feeds, or check_broker_counters would see submitted
-            # != accepted + degraded + rejected at finish.
-            self.stats.on_admission(result.decision, result.reason)
+            # Quota refusals take the broker's own verdict fan-out, or
+            # check_broker_counters would see submitted != accepted +
+            # degraded + rejected at finish.
+            self.env.emit(
+                "on_admission", result.decision, result.reason, self.env.sim.now
+            )
             account.stats.on_admission(result.decision, result.reason)
-            if self.obs is not None:
-                self.obs.on_admission(
-                    result.decision, result.reason, self.env.sim.now
-                )
             quote = self.quote(tenant_id, job)
             outcomes.append(SubmissionOutcome(job=job, quote=quote, result=result))
         return outcomes
@@ -391,7 +397,7 @@ class BrokerShard:
     # ------------------------------------------------------------------
     # Completion side
     # ------------------------------------------------------------------
-    def _on_complete(self, record: JobRecord) -> None:
+    def on_complete(self, record: JobRecord) -> None:
         """Attribute one completed record to its tenant's books.
 
         Chunking schedulers split admitted jobs into sub-records that
@@ -415,6 +421,10 @@ class BrokerShard:
             self.ledger.penalty_usd += penalty_usd
             self.stats.on_penalty(penalty_usd)
 
+    def finalize(self, trace: RunTrace) -> dict[str, object]:
+        """The ``trace.metadata["fleet_shard"]`` block."""
+        return {"index": self.index, "seed": self.seed, "tenants": self.tenant_ids}
+
     # ------------------------------------------------------------------
     def finish(self) -> ShardResult:
         """Drain the shard and close its books."""
@@ -428,11 +438,6 @@ class BrokerShard:
                 tenant_id = self._job_tenant.get(record.job_id)
                 if tenant_id is not None:
                     self.accounts[tenant_id].ledger.transfer_usd += usd
-        trace.metadata["fleet_shard"] = {
-            "index": self.index,
-            "seed": self.seed,
-            "tenants": self.tenant_ids,
-        }
         return ShardResult(
             index=self.index,
             seed=self.seed,

@@ -118,9 +118,10 @@ class StreamingSLAStats:
 
     Admission-side counters are fed by the broker as it decides; the
     completion-side counters are fed from the environment's
-    ``on_job_complete`` hook. ``promise_s`` on the completed record links
-    the two: attainment is measured against the promise *sold at admission*,
-    never re-derived after the fact.
+    ``on_complete`` plugin hook (the broker binds this method there).
+    ``promise_s`` on the completed record links the two: attainment is
+    measured against the promise *sold at admission*, never re-derived
+    after the fact.
     """
 
     submitted: int = 0

@@ -27,11 +27,13 @@ Three layers:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..common import Placement
 from ..sim.environment import CloudBurstEnvironment
+from ..sim.plugins import EnvPlugin
 from ..sim.tracing import JobRecord, RunTrace
 from .exposition import (
     MetricFamilySamples,
@@ -50,6 +52,9 @@ from .registry import (
     MetricsRegistry,
 )
 from .spans import Span, SpanRecorder
+
+if TYPE_CHECKING:
+    from ..policy.converge import ConvergenceDecision
 
 __all__ = [
     "CounterSeries",
@@ -90,21 +95,24 @@ class ObsConfig:
     qrsm_error_ratio_buckets: tuple[float, ...] = DEFAULT_RATIO_BUCKETS
 
 
-class ObsRuntime:
-    """Live telemetry attached to one environment.
+class ObsRuntime(EnvPlugin):
+    """Live telemetry attached to one environment (plugin ``"obs"``).
 
     Registers the sim-plane metric catalogue, caches hot-path label
-    series once, and rides the environment's completion observers plus
-    explicit hook calls from the batch handler (plans), the broker
-    (admission) and the econ preemption injector. ``finalize`` stamps
-    engine gauges and returns the ``trace.metadata["obs"]`` block.
+    series once, and overrides every plugin hook but ``on_admit``:
+    completions, plans, admission verdicts, spot preemptions and
+    converger ticks. ``finalize`` stamps engine gauges and returns the
+    ``trace.metadata["obs"]`` block.
     """
+
+    key = "obs"
 
     def __init__(
         self,
         env: CloudBurstEnvironment,
         config: Optional[ObsConfig] = None,
     ) -> None:
+        env.attach(self)
         self.env = env
         self.config = config if config is not None else ObsConfig()
         self.registry = MetricsRegistry()
@@ -207,10 +215,9 @@ class ObsRuntime:
             "repro_engine_heap_compactions",
             "Event-heap compactions over the run (stamped at finalize).",
         )
-        env.completion_observers.append(self._on_complete)
 
     # -- hook points ------------------------------------------------------
-    def _on_complete(self, record: JobRecord) -> None:
+    def on_complete(self, record: JobRecord) -> None:
         bursted = record.bursted
         (self._completed_ec if bursted else self._completed_ic).inc()
         if record.rescheduled:
@@ -255,7 +262,6 @@ class ObsRuntime:
             )
 
     def on_plan(self, n_jobs: int, n_bursted: int, at_s: float) -> None:
-        """Called by the batch handler after ``plan_online`` returns."""
         self._plan_batches.inc()
         if n_bursted:
             self._plan_burst.inc(float(n_bursted))
@@ -269,7 +275,6 @@ class ObsRuntime:
         )
 
     def on_admission(self, decision: str, reason: str, at_s: float) -> None:
-        """Called by the broker (and shard quota gate) per verdict."""
         key = (decision, reason)
         series = self._admission_series.get(key)
         if series is None:
@@ -280,35 +285,27 @@ class ObsRuntime:
             "admit", at_s, at_s, {"decision": decision, "reason": reason}
         )
 
-    def on_converge(
-        self,
-        *,
-        desired: Optional[int],
-        observed: int,
-        steps: dict[str, int],
-        lag_s: Optional[float],
-        at_s: float,
-    ) -> None:
-        """Called by the policy runtime after every converger tick."""
+    def on_converge(self, decision: ConvergenceDecision) -> None:
+        desired = decision.desired
+        steps = dict(Counter(step.kind for step in decision.steps if step.ok))
         if desired is not None:
             self._policy_desired.set(float(desired))
-        self._policy_observed.set(float(observed))
+        self._policy_observed.set(float(decision.basis))
         for kind, count in steps.items():
             series = self._policy_step_series.get(kind)
             if series is None:
                 series = self._policy_steps.counter_labels(kind)
                 self._policy_step_series[kind] = series
             series.inc(float(count))
-        if lag_s is not None:
-            self._policy_lag.observe(lag_s)
+        if decision.lag_s is not None:
+            self._policy_lag.observe(decision.lag_s)
         self.spans.point(
             "converge",
-            at_s,
-            {"desired": desired, "observed": observed, "steps": steps},
+            decision.time_s,
+            {"desired": desired, "observed": decision.basis, "steps": steps},
         )
 
     def on_preempt(self, elapsed_s: float, at_s: float) -> None:
-        """Called via the econ spot-preemption injector."""
         self._preemptions.inc()
         self._preempted_work.inc(elapsed_s)
         self.spans.point("preempt", at_s, {"lost_work_s": elapsed_s})
@@ -336,13 +333,9 @@ def attach_obs(
     """Arm telemetry on a freshly built environment.
 
     Mirrors :func:`repro.econ.attach_econ`: attach before the
-    environment is driven, at most once. The runtime lands on
-    ``env.obs`` where the batch handler, broker and econ injector find
-    it; its finalized output lands in ``trace.metadata["obs"]``,
-    outside every determinism digest.
+    environment is driven, at most once. The runtime joins the
+    environment's plugin list, which fans plans, admissions,
+    preemptions and converger ticks out to it; its finalized output
+    lands in ``trace.metadata["obs"]``, outside every determinism digest.
     """
-    if env.obs is not None:
-        raise RuntimeError("obs already attached to this environment")
-    runtime = ObsRuntime(env, config)
-    env.obs = runtime
-    return runtime
+    return ObsRuntime(env, config)

@@ -1,9 +1,9 @@
 """Attach a policy-driven converger to one environment.
 
 Mirrors the :func:`repro.econ.attach_econ` / :func:`repro.obs.attach_obs`
-idiom — one entry point (:func:`attach_policy`), one runtime object on a
-dedicated environment slot (``env.policy``), and a finalisation block
-stamped into ``trace.metadata["policy"]`` outside every digest. Unlike
+idiom — one entry point (:func:`attach_policy`), one runtime object in
+the environment's plugin list (key ``"policy"``), and a finalisation
+block stamped into ``trace.metadata["policy"]`` outside every digest. Unlike
 econ and obs, the policy plane is *not* a pure observer: the converger
 scales the EC pool by design. The determinism contract is therefore
 two-sided (the ``repro check`` policy pass enforces both):
@@ -23,16 +23,18 @@ into :class:`repro.fleet.FleetConfig` for multiprocess shards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Optional
 
-if TYPE_CHECKING:  # runtime import would cycle: sim.autoscale -> policy
-    # -> econ -> service -> experiments -> metrics, while repro.sim is
-    # still initialising. The schedule is bound lazily at attach time.
-    from ..econ.penalties import PenaltySchedule
-    from ..sim.environment import CloudBurstEnvironment
+from ..econ import EconRuntime
+from ..econ.penalties import PenaltySchedule
+from ..sim.plugins import EnvPlugin
 from ..sim.tracing import JobRecord, RunTrace
-from .converge import ConvergenceDecision, Converger, ConvergerConfig
+from .converge import Converger, ConvergerConfig
 from .model import PolicySet, ScalingPolicy
+
+if TYPE_CHECKING:
+    from ..sim.environment import CloudBurstEnvironment
 
 __all__ = ["PolicyConfig", "PolicyRuntime", "attach_policy"]
 
@@ -65,24 +67,29 @@ class PolicyConfig:
         }
 
 
-class PolicyRuntime:
-    """One environment's policy plane: converger + SLA/spend taps.
+class PolicyRuntime(EnvPlugin):
+    """One environment's policy plane (plugin ``"policy"``): converger +
+    SLA/spend taps.
 
-    SLA attainment is counted by this runtime's own completion observer
+    SLA attainment is counted by this runtime's own completion hook
     (using the attached econ penalty schedule when there is one, the
     default schedule otherwise), so ``"sla"``-triggered policies work
     with or without cost accounting. Spend comes straight from the econ
     ledger and is ``None`` without one — ``"cost"`` triggers then stay
-    quiet by contract.
+    quiet by contract. Converger ticks go to the environment's
+    ``on_converge`` fan-out.
     """
 
-    def __init__(self, env: "CloudBurstEnvironment", config: PolicyConfig) -> None:
-        from ..econ.penalties import PenaltySchedule
+    key = "policy"
 
+    def __init__(self, env: "CloudBurstEnvironment", config: PolicyConfig) -> None:
+        # Attach first: a rejected duplicate must not schedule a tick.
+        env.attach(self)
         self.env = env
         self.config = config
-        self._penalty: PenaltySchedule = (
-            env.econ.config.penalty if env.econ is not None else PenaltySchedule()
+        econ = env.plugin("econ")
+        self._penalty = (
+            econ.config.penalty if isinstance(econ, EconRuntime) else PenaltySchedule()
         )
         self._completed = 0
         self._violations = 0
@@ -93,9 +100,8 @@ class PolicyRuntime:
             config.converger,
             attainment_ratio=self.attainment_ratio,
             spend_usd=self.spend_usd,
-            on_decision=self._on_decision,
+            on_decision=partial(env.emit, "on_converge"),
         )
-        env.completion_observers.append(self._on_complete)
         if config.enabled and config.policies:
             self.converger.start()
 
@@ -110,30 +116,14 @@ class PolicyRuntime:
         return (self._completed - self._violations) / self._completed
 
     def spend_usd(self) -> Optional[float]:
-        if self.env.econ is None:
-            return None
-        return self.env.econ.ledger.total_usd
+        econ = self.env.plugin("econ")
+        return econ.ledger.total_usd if isinstance(econ, EconRuntime) else None
 
     # ------------------------------------------------------------------
-    def _on_complete(self, record: JobRecord) -> None:
+    def on_complete(self, record: JobRecord) -> None:
         self._completed += 1
         if self._penalty.penalty_usd(record) > 0:
             self._violations += 1
-
-    def _on_decision(self, decision: ConvergenceDecision) -> None:
-        if self.env.obs is None:
-            return
-        steps: dict[str, int] = {}
-        for step in decision.steps:
-            if step.ok:
-                steps[step.kind] = steps.get(step.kind, 0) + 1
-        self.env.obs.on_converge(
-            desired=decision.desired,
-            observed=decision.basis,
-            steps=steps,
-            lag_s=decision.lag_s,
-            at_s=decision.time_s,
-        )
 
     # ------------------------------------------------------------------
     def fire_webhook(self, name: str) -> None:
@@ -168,8 +158,4 @@ def attach_policy(
     accounting is wanted — cost triggers and the penalty schedule bind
     to whatever is attached at this moment.
     """
-    if env.policy is not None:
-        raise RuntimeError("policy already attached to this environment")
-    runtime = PolicyRuntime(env, config if config is not None else PolicyConfig())
-    env.policy = runtime
-    return runtime
+    return PolicyRuntime(env, config if config is not None else PolicyConfig())

@@ -24,9 +24,14 @@ One submission runs four steps:
    the simulated system.
 4. **Dispatch** — admitted jobs go to the scheduler through the shared
    online path (:meth:`repro.core.base.Scheduler.plan_online` via
-   :meth:`CloudBurstEnvironment.submit_online`), and the promises sold are
+   :meth:`repro.sim.environment.Session.submit`), and the promises sold are
    stamped onto the live records so completion-side counters score against
    exactly what was quoted.
+
+The broker is the environment's ``"admission"`` plugin: each verdict goes
+to the environment's ``on_admission`` fan-out (its own counters included),
+completions feed its :class:`StreamingSLAStats`, and its counters land in
+``trace.metadata["admission"]``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from typing import Optional, Sequence
 from ..core.base import Scheduler
 from ..metrics.streaming import StreamingSLAStats
 from ..sim.environment import CloudBurstEnvironment
+from ..sim.plugins import EnvPlugin
 from ..sim.tracing import RunTrace
 from ..workload.document import Job
 from .policy import AdmissionResult, SLAPolicy
@@ -58,13 +64,15 @@ class SubmissionOutcome:
         return self.result.admitted
 
 
-class BurstBroker:
+class BurstBroker(EnvPlugin):
     """Online SLA-quoting admission broker over one environment instance.
 
     Like the environment it wraps, a broker is single-session: construct,
     submit arrivals in non-decreasing time order, then :meth:`finish` to
     drain in-flight work and collect the :class:`RunTrace`.
     """
+
+    key = "admission"
 
     def __init__(
         self,
@@ -78,7 +86,9 @@ class BurstBroker:
         self.policy = policy if policy is not None else SLAPolicy()
         self.stats = stats if stats is not None else StreamingSLAStats()
         self._session = env.session(scheduler)
-        env.on_job_complete = self.stats.on_complete
+        # The stats' own bound method: no wrapper frame per completion.
+        self.on_complete = self.stats.on_complete  # type: ignore[method-assign]
+        env.attach(self)
         self._finished = False
         self._last_arrival = -float("inf")
 
@@ -129,6 +139,7 @@ class BurstBroker:
         outcomes: list[SubmissionOutcome] = []
         admitted: list[tuple[Job, SLAQuote]] = []
         in_system = self.env.jobs_in_system
+        now = self.now
         for job in jobs:
             quote = quote_job(job, state, self.env.estimator, policy.ticket)
             result = policy.admit(quote, in_system, state.upload_backlog_mb)
@@ -137,9 +148,7 @@ class BurstBroker:
             if result.admitted:
                 admitted.append((job, quote))
                 in_system += 1
-            self.stats.on_admission(result.decision, result.reason)
-            if self.env.obs is not None:
-                self.env.obs.on_admission(result.decision, result.reason, self.now)
+            self.env.emit("on_admission", result.decision, result.reason, now)
             outcomes.append(SubmissionOutcome(job=job, quote=quote, result=result))
 
         if admitted:
@@ -159,19 +168,22 @@ class BurstBroker:
         return outcomes
 
     # ------------------------------------------------------------------
-    def finish(self) -> RunTrace:
-        """Drain every in-flight job and return the completed trace."""
-        if self._finished:
-            raise RuntimeError("broker session already finished")
-        self._finished = True
-        if self.env.invariants is not None:
-            self.env.invariants.check_broker_counters(self.stats)
-        trace = self._session.finish()
-        trace.metadata["admission"] = {
+    def on_admission(self, decision: str, reason: str, at_s: float) -> None:
+        self.stats.on_admission(decision, reason)
+
+    def finalize(self, trace: RunTrace) -> dict[str, object]:
+        """The ``trace.metadata["admission"]`` block."""
+        return {
             "submitted": self.stats.submitted,
             "accepted": self.stats.accepted,
             "accepted_degraded": self.stats.accepted_degraded,
             "rejected": self.stats.rejected,
             "rejections_by_reason": dict(self.stats.rejections_by_reason),
         }
-        return trace
+
+    def finish(self) -> RunTrace:
+        """Drain every in-flight job and return the completed trace."""
+        if self._finished:
+            raise RuntimeError("broker session already finished")
+        self._finished = True
+        return self._session.finish()

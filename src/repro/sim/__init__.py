@@ -1,12 +1,12 @@
 """Discrete-event simulation substrate: engine, clusters, network, pipelines."""
 
-from .autoscale import ECAutoScaler
 from .cluster import Cluster, QueuedWork
 from .engine import Event, SimulationError, Simulator
 from .environment import CloudBurstEnvironment, ECSiteSpec, SystemConfig
 from .faults import OutageInjector, OutageWindow, random_outage_schedule
 from .network import CapacityProcess, FluidLink, ProbeService, Transfer, waterfill
 from .pipeline import PipelineItem, SizeQueue, TransferPipeline
+from .plugins import EnvPlugin
 from .resources import Machine
 from .tracing import JobRecord, Placement, RunTrace
 from .validation import TraceInvariantError, validate_trace
@@ -16,9 +16,8 @@ __all__ = [
     "Machine", "Cluster", "QueuedWork",
     "CapacityProcess", "FluidLink", "Transfer", "ProbeService", "waterfill",
     "TransferPipeline", "SizeQueue", "PipelineItem",
-    "CloudBurstEnvironment", "SystemConfig", "ECSiteSpec",
+    "CloudBurstEnvironment", "SystemConfig", "ECSiteSpec", "EnvPlugin",
     "OutageInjector", "OutageWindow", "random_outage_schedule",
-    "ECAutoScaler",
     "RunTrace", "JobRecord", "Placement",
     "validate_trace", "TraceInvariantError",
 ]

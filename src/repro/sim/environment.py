@@ -17,7 +17,7 @@ The environment is the only component that knows the *ground truth*
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -33,12 +33,9 @@ from .cluster import Cluster
 from .engine import Simulator
 from .network import CapacityProcess, FluidLink, ProbeService
 from .pipeline import TransferPipeline
+from .plugins import HOOKS, EnvPlugin
 from .resources import Machine
 from .tracing import JobRecord, Placement, RunTrace
-
-if TYPE_CHECKING:  # runtime import would cycle (econ/obs import this module)
-    from ..econ import EconRuntime
-    from ..obs import ObsRuntime
 
 __all__ = ["ECSiteSpec", "SystemConfig", "CloudBurstEnvironment", "Session"]
 
@@ -272,35 +269,11 @@ class CloudBurstEnvironment:
         self._batches_arrived = 0
         self._trace: Optional[RunTrace] = None
         self._scheduler: Optional[Scheduler] = None
-        self._session: Optional["Session"] = None
         self._t0 = self.sim.now
-        #: Optional observer fired at every job completion with the final
-        #: :class:`JobRecord` — the online broker's streaming SLA counters
-        #: hang off this.
-        self.on_job_complete: Optional[Callable[[JobRecord], None]] = None
-        #: Additional completion observers (fan-out, fired after
-        #: ``on_job_complete``) — the econ subsystem's penalty/billing
-        #: accrual registers here without displacing the broker's slot.
-        self.completion_observers: list[Callable[[JobRecord], None]] = []
-        #: Attached :class:`repro.econ.EconRuntime`, when cost accounting
-        #: is enabled for this run (:func:`repro.econ.attach_econ`).
-        self.econ: Optional["EconRuntime"] = None
-        #: Attached :class:`repro.obs.ObsRuntime`, when telemetry is
-        #: enabled for this run (:func:`repro.obs.attach_obs`). Strictly
-        #: an observer: its hooks read simulation state, never steer it,
-        #: and its output lands in unhashed ``trace.metadata["obs"]``.
-        self.obs: Optional["ObsRuntime"] = None
-        #: Attached :class:`repro.policy.PolicyRuntime`, when a
-        #: declarative scaling policy drives the EC pool for this run
-        #: (:func:`repro.policy.attach_policy`). Unlike econ/obs it is
-        #: allowed to steer the simulation (it scales machines); its
-        #: audit log still lands in unhashed ``trace.metadata["policy"]``.
-        self.policy = None
-        #: Runtime invariant checker, when installed
-        #: (:func:`repro.analysis.invariants.install_invariants`); gets
-        #: first-class lifecycle calls so observers above stay free for
-        #: callers.
-        self.invariants = None
+        #: Attached plugins by key, in attach order (:meth:`attach`).
+        self._plugins: dict[str, EnvPlugin] = {}
+        #: Per-hook bound methods of the plugins that override that hook.
+        self._hooks: dict[str, list[Callable[..., None]]] = {h: [] for h in HOOKS}
 
         if config.enable_ic_pull:
             self.ic.on_idle = self._on_ic_idle
@@ -566,14 +539,10 @@ class CloudBurstEnvironment:
                 "up_probes": self.up_probe.n_probes,
             }
         )
-        if self.econ is not None:
-            trace.metadata["econ"] = self.econ.finalize(trace)
-        if self.obs is not None:
-            trace.metadata["obs"] = self.obs.finalize(trace)
-        if self.policy is not None:
-            trace.metadata["policy"] = self.policy.finalize(trace)
-        if self.invariants is not None:
-            self.invariants.on_finish(trace)
+        for plugin in self._plugins.values():
+            block = plugin.finalize(trace)
+            if block is not None:
+                trace.metadata[plugin.key] = block
         return trace
 
     def session(self, scheduler: Scheduler) -> "Session":
@@ -591,8 +560,7 @@ class CloudBurstEnvironment:
                 s.submit(more_jobs, at=12.5)
             trace = s.trace
 
-        :meth:`run` and the legacy ``start_online`` / ``submit_online`` /
-        ``finish_online`` triple are thin wrappers over this.
+        :meth:`run` is a thin wrapper over this.
         """
         return Session(self, scheduler)
 
@@ -602,39 +570,30 @@ class CloudBurstEnvironment:
             return s.run_batches(batches)
 
     # ------------------------------------------------------------------
-    # Online (broker-driven) orchestration — thin wrappers over Session
+    # Plugins (repro.sim.plugins)
     # ------------------------------------------------------------------
-    def start_online(self, scheduler: Scheduler) -> None:
-        """Open an online session: jobs will arrive via :meth:`submit_online`.
+    def attach(self, plugin: EnvPlugin) -> None:
+        """Add ``plugin`` to this run; its overridden hooks fire in attach order.
 
-        The caller owns the virtual clock — it advances the simulator with
-        :meth:`repro.sim.engine.Simulator.run_until` to each arrival instant
-        and then submits. ``trace.arrival_time`` is stamped by the first
-        submission. Equivalent to holding the :meth:`session` handle; new
-        code should prefer that API.
+        Attach before the environment is driven. A second plugin under an
+        already attached key raises :class:`RuntimeError`.
         """
-        self._session = self.session(scheduler)
+        if plugin.key in self._plugins:
+            raise RuntimeError(f"{plugin.key} already attached")
+        self._plugins[plugin.key] = plugin
+        for name, hooks in self._hooks.items():
+            hook = getattr(plugin, name)
+            if getattr(hook, "__func__", hook) is not getattr(EnvPlugin, name):
+                hooks.append(hook)
 
-    def submit_online(
-        self,
-        jobs: Sequence[Job],
-        batch_id: Optional[int] = None,
-        state: Optional[SystemState] = None,
-    ) -> BatchPlan:
-        """Plan and dispatch jobs arriving *now*; returns the plan.
+    def plugin(self, key: str) -> Optional[EnvPlugin]:
+        """The plugin attached under ``key``, or ``None``."""
+        return self._plugins.get(key)
 
-        Thin wrapper over :meth:`Session.submit` for the session opened by
-        :meth:`start_online`; see there for semantics.
-        """
-        if self._session is None:
-            raise RuntimeError("call start_online() before submit_online()")
-        return self._session.submit(jobs, batch_id=batch_id, state=state)
-
-    def finish_online(self) -> RunTrace:
-        """Drain all in-flight work and return the completed trace."""
-        if self._session is None:
-            raise RuntimeError("no online session to finish")
-        return self._session.finish()
+    def emit(self, hook: str, *args: object) -> None:
+        """Fan one event out to every plugin overriding ``hook``."""
+        for fn in self._hooks[hook]:
+            fn(*args)
 
     @property
     def jobs_in_system(self) -> int:
@@ -668,8 +627,7 @@ class CloudBurstEnvironment:
         if state is None:
             state = self.build_state()
         plan = self._scheduler.plan_online(list(batch.jobs), state)
-        if self.obs is not None:
-            self.obs.on_plan(len(plan.decisions), plan.n_bursted, self.sim.now)
+        self.emit("on_plan", len(plan.decisions), plan.n_bursted, self.sim.now)
         if plan.upload_bounds is not None:
             self.upload.set_size_bounds(*plan.upload_bounds)
         for decision in plan.decisions:
@@ -682,7 +640,7 @@ class CloudBurstEnvironment:
         self, job: Job, batch: Batch, placement: str,
         est_proc: float, est_completion: float, ec_site: int = 0,
     ) -> None:
-        if ec_site and ec_site > len(self.extra_site_runtimes):
+        if not 0 <= ec_site <= len(self.extra_site_runtimes):
             raise ValueError(f"no EC site with index {ec_site}")
         record = JobRecord(
             job_id=job.job_id,
@@ -707,8 +665,7 @@ class CloudBurstEnvironment:
             self._open_ec[job.key] = st
         self._trace.records.append(record)
         self._remaining += 1
-        if self.invariants is not None:
-            self.invariants.on_admit(record)
+        self.emit("on_admit", record)
         if placement == Placement.IC:
             self._dispatch_ic(job)
         else:
@@ -802,12 +759,7 @@ class CloudBurstEnvironment:
         self._remaining -= 1
         self._open.pop(st.job.key, None)
         self._open_ec.pop(st.job.key, None)
-        if self.invariants is not None:
-            self.invariants.on_complete(st.record)
-        if self.on_job_complete is not None:
-            self.on_job_complete(st.record)
-        for observer in self.completion_observers:
-            observer(st.record)
+        self.emit("on_complete", st.record)
 
     # ------------------------------------------------------------------
     # Rescheduling strategies (Section IV.D, optional)
@@ -870,9 +822,7 @@ class CloudBurstEnvironment:
 class Session:
     """Unified offline/online driving handle over one environment.
 
-    A session owns the run lifecycle that used to be split between
-    ``CloudBurstEnvironment.run`` (offline batch replay) and the
-    ``start_online`` / ``submit_online`` / ``finish_online`` triple: it
+    A session owns the run lifecycle for both execution styles: it
     begins the trace at construction, accepts work either as one
     pre-generated batch sequence (:meth:`run_batches`) or as incremental
     submissions against the advancing virtual clock (:meth:`submit`), and

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.base import SystemState
+from repro.policy import Converger, ConvergerConfig, PolicySet, ScalingPolicy
+from repro.sim.cluster import Cluster
+from repro.sim.engine import Simulator
 from repro.sim.environment import SystemConfig
 from repro.workload.distributions import Bucket
 from repro.workload.document import DocumentFeatures, Job, JobType
@@ -121,3 +124,44 @@ def truth() -> GroundTruthProcessingModel:
 @pytest.fixture
 def noiseless_truth() -> GroundTruthProcessingModel:
     return GroundTruthProcessingModel(noise_sigma=0.0)
+
+
+def queue_idle_converger(
+    sim: Simulator,
+    cluster: Cluster,
+    *,
+    min_capacity: int = 1,
+    max_capacity: int = 8,
+    interval_s: float = 60.0,
+    queue_at_least: int = 1,
+    sustain_periods: int = 2,
+) -> Converger:
+    """A started converger running the queue-up / sustained-idle-down rule.
+
+    Queue pressure (severity 10) outranks sustained idling; both step by
+    one machine inside ``[min_capacity, max_capacity]``. The gross basis
+    counts draining machines (still billed), and offline reclaim stays off.
+    """
+    bounds = {"min_capacity": min_capacity, "max_capacity": max_capacity}
+    policies = PolicySet((
+        ScalingPolicy(
+            name="queue-up", trigger="queue", action="step_up",
+            queue_at_least=queue_at_least, severity=10, **bounds,
+        ),
+        ScalingPolicy(
+            name="idle-down", trigger="idle", action="step_down",
+            sustain_periods=sustain_periods, **bounds,
+        ),
+    ))
+    converger = Converger(
+        sim, cluster, policies,
+        ConvergerConfig(interval_s=interval_s, basis="gross", delete_offline=False),
+    )
+    converger.start()
+    return converger
+
+
+def scale_counts(converger: Converger) -> tuple[int, int]:
+    """Applied (ups, downs): a launch is up, any other applied step down."""
+    totals = converger.step_totals()
+    return totals["launch"], totals["drain"] + totals["delete"]

@@ -1,4 +1,4 @@
-"""Elastic EC autoscaler and elastic-cluster mechanics tests."""
+"""Elastic EC autoscaling and elastic-cluster mechanics tests."""
 
 from __future__ import annotations
 
@@ -7,11 +7,11 @@ import pytest
 from repro.experiments.config import ExperimentSpec
 from repro.experiments.runner import build_workload, run_one
 from repro.metrics.sla import summarize
-from repro.sim.autoscale import ECAutoScaler
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.sim.environment import SystemConfig
 from repro.workload.distributions import Bucket
+from tests.conftest import queue_idle_converger, scale_counts
 
 
 class TestElasticCluster:
@@ -87,39 +87,44 @@ class TestElasticCluster:
 
 
 class TestAutoScaler:
+    """The queue-up / sustained-idle-down rule on the policy converger."""
+
     def test_validation(self):
         sim = Simulator()
         c = Cluster(sim, "c", 2)
         with pytest.raises(ValueError):
-            ECAutoScaler(sim, c, min_instances=0)
+            queue_idle_converger(sim, c, min_capacity=0)
         with pytest.raises(ValueError):
-            ECAutoScaler(sim, c, min_instances=3, max_instances=2)
+            queue_idle_converger(sim, c, min_capacity=3, max_capacity=2)
         with pytest.raises(ValueError):
-            ECAutoScaler(sim, c, interval_s=0.0)
+            queue_idle_converger(sim, c, interval_s=0.0)
 
     def test_scales_up_under_queue_pressure(self):
         sim = Simulator()
         c = Cluster(sim, "c", 1)
-        scaler = ECAutoScaler(sim, c, max_instances=4, interval_s=10.0)
+        scaler = queue_idle_converger(sim, c, max_capacity=4, interval_s=10.0)
         for k in range(6):
             c.submit(k, 500.0, lambda i, m: None)
         sim.run(until=100.0)
         assert c.n_machines > 1
-        assert any(e.action == "up" for e in scaler.events)
+        ups, _ = scale_counts(scaler)
+        assert ups > 0
 
     def test_scales_down_when_idle(self):
         sim = Simulator()
         c = Cluster(sim, "c", 4)
-        scaler = ECAutoScaler(sim, c, min_instances=1, interval_s=10.0,
-                              idle_periods_before_down=2)
+        scaler = queue_idle_converger(sim, c, min_capacity=1, interval_s=10.0,
+                                      sustain_periods=2)
         sim.run(until=200.0)
         assert c.n_machines == 1
-        assert scaler.summary()["scale_downs"] == 3
+        _, downs = scale_counts(scaler)
+        assert downs == 3
 
     def test_knee_caps_pool(self):
         sim = Simulator()
         c = Cluster(sim, "c", 1)
-        scaler = ECAutoScaler(sim, c, max_instances=16, knee=2, interval_s=10.0)
+        # A saturation knee of 2 caps the pool below the nominal 16.
+        queue_idle_converger(sim, c, max_capacity=min(16, 2), interval_s=10.0)
         for k in range(20):
             c.submit(k, 1000.0, lambda i, m: None)
         sim.run(until=300.0)
@@ -138,13 +143,13 @@ class TestAutoScaler:
 
         def hook(env):
             scalers.append(
-                ECAutoScaler(env.sim, env.ec, min_instances=1, max_instances=6,
-                             interval_s=60.0)
+                queue_idle_converger(env.sim, env.ec, min_capacity=1,
+                                     max_capacity=6, interval_s=60.0)
             )
 
         elastic = run_one("Op", spec, batches=batches, env_hook=hook)
         assert all(r.completed for r in elastic.records)
         static_cost = 6.0 * (static.end_time - static.arrival_time)
-        elastic_cost = scalers[0].summary()["rented_machine_s"]
+        elastic_cost = scalers[0].cluster.rented_machine_seconds
         assert elastic_cost < static_cost * 0.85
         assert elastic.makespan < static.makespan * 1.10

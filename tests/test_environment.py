@@ -9,7 +9,7 @@ from repro.common import Placement
 from repro.core.greedy import GreedyScheduler
 from repro.core.ic_only import ICOnlyScheduler
 from repro.core.order_preserving import OrderPreservingScheduler
-from repro.sim.environment import CloudBurstEnvironment, SystemConfig
+from repro.sim.environment import CloudBurstEnvironment, ECSiteSpec, SystemConfig
 from repro.workload.distributions import Bucket
 from repro.workload.generator import WorkloadConfig, WorkloadGenerator
 
@@ -165,6 +165,21 @@ class TestConfigValidation:
             SystemConfig(up_base_mbps=0.0)
         with pytest.raises(ValueError):
             SystemConfig(start_hour=24.0)
+
+    @pytest.mark.parametrize("n_extra,ec_site", [(0, -1), (2, -1), (2, 3)])
+    def test_out_of_range_ec_site_rejected(self, n_extra, ec_site):
+        class EverySiteScheduler(GreedyScheduler):
+            def plan(self, jobs, state):
+                plan = super().plan(jobs, state)
+                for d in plan.decisions:
+                    d.placement, d.ec_site = Placement.EC, ec_site
+                return plan
+
+        sites = tuple(ECSiteSpec(name=n) for n in "ab"[:n_extra])
+        config = SystemConfig(ic_machines=4, ec_machines=2, seed=77,
+                              extra_ec_sites=sites)
+        with pytest.raises(ValueError, match=f"no EC site with index {ec_site}"):
+            run_env(EverySiteScheduler, config=config)
 
     def test_start_hour_offsets_clock(self):
         config = SystemConfig(ic_machines=2, ec_machines=1, start_hour=6.0, seed=1)

@@ -17,6 +17,7 @@ from repro.analysis.determinism import hash_trace
 from repro.fleet import FleetConfig, TenantSpec
 from repro.fleet.sharding import BrokerShard
 from repro.sim.environment import CloudBurstEnvironment, SystemConfig
+from repro.sim.plugins import EnvPlugin
 
 
 def make_env(seed: int = 7) -> CloudBurstEnvironment:
@@ -26,11 +27,12 @@ def make_env(seed: int = 7) -> CloudBurstEnvironment:
 class TestNoSharedMutableState:
     def test_instances_own_their_containers(self):
         a, b = make_env(), make_env()
-        assert a.completion_observers is not b.completion_observers
+        assert a._plugins is not b._plugins
+        assert a._hooks["on_complete"] is not b._hooks["on_complete"]
         assert a._states is not b._states
         assert a.extra_site_runtimes is not b.extra_site_runtimes
-        a.completion_observers.append(lambda record: None)
-        assert b.completion_observers == []
+        a.attach(EnvPlugin())
+        assert b.plugin(EnvPlugin.key) is None
 
     def test_same_seed_instances_are_equal_but_distinct(self):
         a, b = make_env(seed=11), make_env(seed=11)
