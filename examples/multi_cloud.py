@@ -25,8 +25,8 @@ from repro import (
 )
 
 
-def run(extra_sites, batches, gen, seed=33):
-    env = CloudBurstEnvironment(SystemConfig(seed=seed, extra_ec_sites=extra_sites))
+def run(extra_ec_sites, batches, gen, seed=33):
+    env = CloudBurstEnvironment(SystemConfig(seed=seed, extra_ec_sites=extra_ec_sites))
     env.pretrain_qrsm(*gen.sample_training_set(300))
     trace = env.run(batches, MultiECOrderPreservingScheduler(env.estimator))
     return env, trace
@@ -58,7 +58,7 @@ def main() -> None:
 
     # Where did the bursted jobs go?
     sites = Counter(
-        "primary" if st.site == 0 else env2.extra_site_runtimes[st.site - 1].spec.name
+        env2.sites[st.site].spec.name
         for st in env2._states.values()
         if st.record.placement == "EC"
     )

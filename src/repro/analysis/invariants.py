@@ -128,11 +128,7 @@ class EnvironmentInvariants(EnvPlugin):
         return self
 
     def _pipelines(self) -> list["TransferPipeline"]:
-        env = self.env
-        pipelines = [env.upload, env.download]
-        for runtime in env.extra_site_runtimes:
-            pipelines.extend([runtime.upload, runtime.download])
-        return pipelines
+        return [p for site in self.env.sites for p in (site.upload, site.download)]
 
     # ------------------------------------------------------------------
     # Engine: event-time monotonicity + FIFO tie-break order

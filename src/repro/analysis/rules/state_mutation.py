@@ -3,12 +3,12 @@
 :class:`repro.core.base.SystemState` is both a snapshot and an in-batch
 planning ledger: as a scheduler assigns jobs it *commits* each decision so
 later jobs in the batch see the load earlier ones will create. The commit
-methods (``commit_ic``, ``commit_ec``, ``commit_ec_site``) keep the
-coupled fields consistent — machine free times, link backlogs and the
+methods (``commit_ic``, ``commit_ec``) keep the coupled fields
+consistent — machine free times, the per-site link backlogs and the
 pending-completion pool move together. A scheduler that pokes
-``state.ic_free[0] = t`` or ``state.upload_backlog_mb += mb`` directly
-bypasses that coupling and silently skews every later decision in the
-batch.
+``state.ic_free[0] = t`` or ``state.sites[0].upload_backlog_mb += mb``
+directly bypasses that coupling and silently skews every later decision
+in the batch.
 
 Detection is annotation-driven (static, no type inference): the rule
 tracks
@@ -17,6 +17,9 @@ tracks
   (including string and ``Optional[...]`` forms),
 * local aliases created via ``tracked.clone()``,
 * ``self.<attr>`` bound to a tracked parameter in ``__init__``,
+* anything reached from a tracked object by attribute or item access
+  (``state.sites[1]``), and local names bound to such a part by
+  assignment or a ``for`` loop (``site = state.sites[i]``),
 
 and flags attribute/item assignment, augmented assignment, and mutating
 container calls (``append``, ``extend``, ...) on them. Methods defined on
@@ -104,16 +107,25 @@ class _FunctionScanner:
         self.tracked_self_attrs = tracked_self_attrs
 
     def _is_tracked_expr(self, node: ast.expr) -> bool:
-        """The expression denotes a tracked state object."""
-        if isinstance(node, ast.Name):
-            return node.id in self.tracked_names
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr in self.tracked_self_attrs
-        return False
+        """The expression denotes a tracked state object or a part of one."""
+        while True:
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+                and node.attr in self.tracked_self_attrs
+            ):
+                return True
+            if not isinstance(node, (ast.Attribute, ast.Subscript)):
+                break
+            node = node.value
+        return isinstance(node, ast.Name) and node.id in self.tracked_names
+
+    def _is_tracked_part(self, node: ast.expr) -> bool:
+        """``node`` reaches a tracked object by attribute or item access."""
+        return isinstance(node, (ast.Attribute, ast.Subscript)) and self._is_tracked_expr(
+            node
+        )
 
     def _state_field_of(self, node: ast.expr) -> Optional[str]:
         """Field name when ``node`` is ``<tracked>.<field>`` (or an item of it)."""
@@ -139,14 +151,22 @@ class _FunctionScanner:
             yield from inner.scan(node)
             return
 
+        if (
+            isinstance(node, ast.For)
+            and isinstance(node.target, ast.Name)
+            and self._is_tracked_part(node.iter)
+        ):
+            # ``for site in state.sites``.
+            self.tracked_names.add(node.target.id)
         if isinstance(node, ast.Assign):
-            # Alias tracking: ``shadow = state.clone()``.
+            # Alias tracking: ``shadow = state.clone()``, ``site = state.sites[i]``.
+            value = node.value
             if (
-                isinstance(node.value, ast.Call)
-                and isinstance(node.value.func, ast.Attribute)
-                and node.value.func.attr == "clone"
-                and self._is_tracked_expr(node.value.func.value)
-            ):
+                isinstance(value, ast.Call)
+                and isinstance(value.func, ast.Attribute)
+                and value.func.attr == "clone"
+                and self._is_tracked_expr(value.func.value)
+            ) or self._is_tracked_part(value):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
                         self.tracked_names.add(target.id)
@@ -191,8 +211,8 @@ class StateMutationRule(LintRule):
         "pending-completion pool; only its commit methods keep them consistent"
     )
     hint = (
-        "route the update through SystemState.commit_ic / commit_ec / "
-        "commit_ec_site (add a commit method if the planning pattern is new)"
+        "route the update through SystemState.commit_ic / commit_ec "
+        "(add a commit method if the planning pattern is new)"
     )
     scope = ("repro",)
 

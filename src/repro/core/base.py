@@ -27,12 +27,33 @@ __all__ = ["SystemState", "ECSiteState", "Decision", "BatchPlan", "Scheduler"]
 
 @dataclass
 class ECSiteState:
-    """Estimated snapshot of one *additional* external cloud site.
+    """Estimated snapshot of one external cloud site.
 
-    The primary EC's state lives in :class:`SystemState`'s flat fields;
-    multi-cloud deployments (the paper's "where" question — "one could
-    possibly choose from a pool of Cloud Providers at run-time") carry one
-    of these per extra site in ``SystemState.extra_sites``.
+    ``SystemState.sites`` holds one per site, the primary EC first; the
+    multi-cloud schedulers (the paper's "where" question — "one could
+    possibly choose from a pool of Cloud Providers at run-time") choose
+    among them by index.
+
+    Attributes
+    ----------
+    ec_free:
+        Per-machine *estimated* instants at which each machine becomes
+        available, with all queued work already folded in.
+    ec_speed:
+        Machine speed relative to the standard machine.
+    upload_backlog_mb / download_backlog_mb:
+        MB still to move in each direction (queued + in flight).
+    est_up_mbps / est_down_mbps:
+        Learned effective bandwidth ``l(t)`` at ``now`` for each direction.
+    up_threads / down_threads / per_thread_mbps:
+        Current autonomic thread plan; a single transfer moves at most
+        ``threads * per_thread_mbps``.
+    upload_parallelism:
+        Number of concurrently transferring upload queues (1 for the plain
+        FIFO path; 3 under size-interval bandwidth splitting). The backlog
+        drains at up to ``parallelism * threads * per_thread`` — capped by
+        the estimated pipe capacity — which is how Algorithm 3's split
+        queues shorten ``ft^ec`` and unlock extra bursting.
     """
 
     name: str
@@ -49,6 +70,7 @@ class ECSiteState:
 
     @property
     def up_rate(self) -> float:
+        """Estimated aggregate upload drain rate (MB/s)."""
         cap = self.up_threads * self.per_thread_mbps * max(1, self.upload_parallelism)
         return max(1e-6, min(cap, self.est_up_mbps))
 
@@ -65,8 +87,8 @@ class ECSiteState:
 class Decision:
     """One placement decision: the paper's decision variable ``d_i``.
 
-    ``ec_site`` selects which external cloud receives a bursted job (0 is
-    the primary site; indices >= 1 address ``SystemState.extra_sites``).
+    ``ec_site`` indexes ``SystemState.sites``: the external cloud that
+    receives a bursted job (0 is the primary site).
     """
 
     job: Job
@@ -112,78 +134,44 @@ class SystemState:
     ----------
     now:
         Decision instant.
-    ic_free / ec_free:
-        Per-machine *estimated* instants at which each machine becomes
+    ic_free:
+        Per-machine *estimated* instants at which each IC machine becomes
         available, with all queued work already folded in (list
         scheduling over QRSM estimates).
-    ic_speed / ec_speed:
-        Machine speed relative to the standard machine.
-    upload_backlog_mb / download_backlog_mb:
-        MB still to move in each direction (queued + in flight).
-    est_up_mbps / est_down_mbps:
-        Learned effective bandwidth ``l(t)`` at ``now`` for each direction.
-    up_threads / down_threads / per_thread_mbps:
-        Current autonomic thread plan; a single transfer moves at most
-        ``threads * per_thread_mbps``.
+    ic_speed:
+        IC machine speed relative to the standard machine.
     pending_completions:
         Estimated completion times of every job currently in the system
         (the ``T_i`` pool that seeds the slack of the first new job).
     upload_queue_loads_mb:
-        Per-size-interval upload queue loads (``s_up, m_up, l_up``).
+        Per-size-interval upload queue loads (``s_up, m_up, l_up``) of
+        the primary site.
+    sites:
+        One :class:`ECSiteState` per external cloud; ``sites[0]`` is the
+        primary EC.
     """
 
     now: float
     ic_free: list[float]
-    ec_free: list[float]
     ic_speed: float = 1.0
-    ec_speed: float = 1.0
-    upload_backlog_mb: float = 0.0
-    download_backlog_mb: float = 0.0
-    est_up_mbps: float = 1.0
-    est_down_mbps: float = 1.0
-    up_threads: int = 4
-    down_threads: int = 4
-    per_thread_mbps: float = 0.35
-    #: Number of concurrently transferring upload queues (1 for the plain
-    #: FIFO path; 3 under size-interval bandwidth splitting). The backlog
-    #: drains at up to ``parallelism * threads * per_thread`` — capped by
-    #: the estimated pipe capacity — which is how Algorithm 3's split
-    #: queues shorten ``ft^ec`` and unlock extra bursting.
-    upload_parallelism: int = 1
     pending_completions: list[float] = field(default_factory=list)
     upload_queue_loads_mb: list[float] = field(default_factory=list)
     #: Optional keyed view of ``pending_completions`` — ``((job_id, sub_id),
     #: est_completion)`` pairs — for consumers that must exclude a specific
     #: job's own contribution (the rescheduling strategies).
     pending_keyed: list[tuple[tuple[int, int], float]] = field(default_factory=list)
-    #: Additional external-cloud sites (multi-cloud bursting); the primary
-    #: EC site is described by the flat ``ec_*``/``*load*`` fields above.
-    extra_sites: list[ECSiteState] = field(default_factory=list)
+    sites: list[ECSiteState] = field(default_factory=list)
 
     def clone(self) -> "SystemState":
         """Independent copy for what-if planning."""
         return replace(
             self,
             ic_free=list(self.ic_free),
-            ec_free=list(self.ec_free),
             pending_completions=list(self.pending_completions),
             upload_queue_loads_mb=list(self.upload_queue_loads_mb),
             pending_keyed=list(self.pending_keyed),
-            extra_sites=[s.clone() for s in self.extra_sites],
+            sites=[s.clone() for s in self.sites],
         )
-
-    # ------------------------------------------------------------------
-    # Effective transfer rates
-    # ------------------------------------------------------------------
-    @property
-    def up_rate(self) -> float:
-        """Estimated aggregate upload drain rate (MB/s)."""
-        cap = self.up_threads * self.per_thread_mbps * max(1, self.upload_parallelism)
-        return max(1e-6, min(cap, self.est_up_mbps))
-
-    @property
-    def down_rate(self) -> float:
-        return max(1e-6, min(self.down_threads * self.per_thread_mbps, self.est_down_mbps))
 
     # ------------------------------------------------------------------
     # Planning commits
@@ -194,29 +182,20 @@ class SystemState:
         self.ic_free[idx] = finish_time
         self.pending_completions.append(finish_time)
 
-    def commit_ec(self, job: Job, ec_exec_end: float, completion: float) -> None:
-        """Record an EC assignment: link backlog and EC machine load grow."""
-        self.upload_backlog_mb += job.input_mb
-        self.download_backlog_mb += job.output_mb
-        idx = min(range(len(self.ec_free)), key=self.ec_free.__getitem__)
-        self.ec_free[idx] = ec_exec_end
-        self.pending_completions.append(completion)
-
-    def commit_ec_site(
-        self, site: ECSiteState, job: Job, ec_exec_end: float, completion: float
+    def commit_ec(
+        self, job: Job, ec_exec_end: float, completion: float, site: int = 0
     ) -> None:
-        """Record an EC assignment on an *extra* site (multi-cloud bursting).
+        """Record an EC assignment on ``sites[site]``.
 
-        The mirror of :meth:`commit_ec` for a site in :attr:`extra_sites`:
-        that site's backlog and machine load grow, while the completion
-        joins this state's shared pending pool (slack is queue-global no
-        matter where the job bursts).
+        That site's link backlogs and machine load grow, while the
+        completion joins the shared pending pool (slack is queue-global
+        no matter where the job bursts).
         """
-        site.upload_backlog_mb += job.input_mb
-        site.download_backlog_mb += job.output_mb
-        if site.ec_free:
-            idx = min(range(len(site.ec_free)), key=site.ec_free.__getitem__)
-            site.ec_free[idx] = ec_exec_end
+        ec = self.sites[site]
+        ec.upload_backlog_mb += job.input_mb
+        ec.download_backlog_mb += job.output_mb
+        idx = min(range(len(ec.ec_free)), key=ec.ec_free.__getitem__)
+        ec.ec_free[idx] = ec_exec_end
         self.pending_completions.append(completion)
 
 

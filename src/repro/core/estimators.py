@@ -69,20 +69,24 @@ class FinishTimeEstimator:
         start = max(state.now, min(state.ic_free))
         return start + est_proc / state.ic_speed
 
-    def ft_ec(self, job: Job, state: SystemState, est_proc: float | None = None) -> EcEstimate:
-        """Estimated completion of the full EC round trip under current load.
+    def ft_ec(
+        self, job: Job, state: SystemState, est_proc: float | None = None,
+        site: int = 0,
+    ) -> EcEstimate:
+        """Estimated completion of the full round trip through ``state.sites[site]``.
 
-        Upload is serialised behind the current upload backlog at the
-        estimated effective rate (Eq. 2's ``s_i / l(t_i)``); execution
-        waits for an EC machine; the result download queues behind the
-        download backlog (``o_i / l(t_i + t')``).
+        Upload is serialised behind the site's current upload backlog at
+        the estimated effective rate (Eq. 2's ``s_i / l(t_i)``); execution
+        waits for one of the site's machines; the result download queues
+        behind its download backlog (``o_i / l(t_i + t')``).
         """
         if est_proc is None:
             est_proc = self.est_proc_time(job)
-        upload_end = state.now + (state.upload_backlog_mb + job.input_mb) / state.up_rate
-        exec_start = max(upload_end, min(state.ec_free))
-        exec_end = exec_start + est_proc / state.ec_speed
-        completion = exec_end + (state.download_backlog_mb + job.output_mb) / state.down_rate
+        ec = state.sites[site]
+        upload_end = state.now + (ec.upload_backlog_mb + job.input_mb) / ec.up_rate
+        exec_start = max(upload_end, min(ec.ec_free))
+        exec_end = exec_start + est_proc / ec.ec_speed
+        completion = exec_end + (ec.download_backlog_mb + job.output_mb) / ec.down_rate
         return EcEstimate(
             upload_end=upload_end,
             exec_start=exec_start,
@@ -91,15 +95,16 @@ class FinishTimeEstimator:
         )
 
     def ec_round_trip_unloaded(self, job: Job, state: SystemState, est_proc: float | None = None) -> float:
-        """Algorithm 3's ``t_ec``: EC round-trip duration *under no load*.
+        """Algorithm 3's ``t_ec``: primary-site EC round-trip duration *under no load*.
 
         ``job.t_up + job.e_ec + job.t_down`` — used to find the potential
         burst candidates before computing size-interval bounds.
         """
         if est_proc is None:
             est_proc = self.est_proc_time(job)
+        ec = state.sites[0]
         return (
-            job.input_mb / state.up_rate
-            + est_proc / state.ec_speed
-            + job.output_mb / state.down_rate
+            job.input_mb / ec.up_rate
+            + est_proc / ec.ec_speed
+            + job.output_mb / ec.down_rate
         )

@@ -97,7 +97,7 @@ class CostAwareScheduler(Scheduler):
             pen_ec = model.expected_penalty_usd(
                 job, est_proc, ec.completion, state.now
             )
-            ec_usd = model.burst_cost_usd(job, est_proc, state.ec_speed)
+            ec_usd = model.burst_cost_usd(job, est_proc, state.sites[0].ec_speed)
             # Burst only when the penalty avoided pays the provider's
             # invoice; ties (including the no-penalty case) stay local —
             # the IC is already paid for.

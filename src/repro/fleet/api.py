@@ -41,8 +41,7 @@ status::
   executor) or the fleet is still booting behind the bound socket.
 
 :class:`~repro.fleet.client.FleetClient` is the typed consumer of this
-contract (and still parses the pre-PR-8 ``type``/``details`` shape for
-one release, with a deprecation warning).
+contract.
 """
 
 from __future__ import annotations

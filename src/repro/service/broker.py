@@ -142,7 +142,7 @@ class BurstBroker(EnvPlugin):
         now = self.now
         for job in jobs:
             quote = quote_job(job, state, self.env.estimator, policy.ticket)
-            result = policy.admit(quote, in_system, state.upload_backlog_mb)
+            result = policy.admit(quote, in_system, state.sites[0].upload_backlog_mb)
             if result.degraded:
                 quote = replace(quote, degraded=True)
             if result.admitted:

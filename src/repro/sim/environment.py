@@ -16,7 +16,7 @@ The environment is the only component that knows the *ground truth*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,13 +42,15 @@ __all__ = ["ECSiteSpec", "SystemConfig", "CloudBurstEnvironment", "Session"]
 
 @dataclass(frozen=True, kw_only=True)
 class ECSiteSpec:
-    """An *additional* external cloud site (multi-cloud bursting).
+    """One external cloud site (multi-cloud bursting).
 
-    Each extra site gets its own machine pool and its own pair of
-    fluid links with independent diurnal profiles — a second provider
-    reached over a different path. Keyword-only: every field names its
-    unit (or is dimensionless by convention), and call sites stay
-    readable as the config grows.
+    Every site gets its own machine pool and its own pair of fluid links
+    with independent diurnal profiles — a provider reached over its own
+    path. Site 0 is the primary EC, described by :class:`SystemConfig`'s
+    ``ec_machines``/``ec_speed``/``*_base_mbps`` fields
+    (:meth:`SystemConfig.ec_sites`); ``extra_ec_sites`` are sites 1..n.
+    Keyword-only: every field names its unit (or is dimensionless by
+    convention), and call sites stay readable as the config grows.
     """
 
     name: str
@@ -103,7 +105,7 @@ class SystemConfig:
     enable_ec_push: bool = False
     ec_push_interval_s: float = 30.0
     #: Additional external clouds beyond the primary one (the "where"
-    #: extension); schedulers that understand multiple sites
+    #: extension), sites 1..n; schedulers that understand multiple sites
     #: (:mod:`repro.core.multi_ec`) can address them by index.
     extra_ec_sites: tuple[ECSiteSpec, ...] = ()
     #: Hard cap on simulated events per run — a diverging run (offered load
@@ -118,11 +120,13 @@ class SystemConfig:
         if not 0 <= self.start_hour < 24:
             raise ValueError("start_hour must lie in [0, 24)")
 
-    def up_profile(self) -> DiurnalBandwidthProfile:
-        return DiurnalBandwidthProfile(base_mbps=self.up_base_mbps)
-
-    def down_profile(self) -> DiurnalBandwidthProfile:
-        return DiurnalBandwidthProfile(base_mbps=self.down_base_mbps)
+    def ec_sites(self) -> tuple[ECSiteSpec, ...]:
+        """Every external cloud, the primary (site 0) first."""
+        primary = ECSiteSpec(
+            name="primary", machines=self.ec_machines, speed=self.ec_speed,
+            up_base_mbps=self.up_base_mbps, down_base_mbps=self.down_base_mbps,
+        )
+        return (primary, *self.extra_ec_sites)
 
     def with_seed(self, seed: int) -> "SystemConfig":
         """This config with a different master seed (shard derivation).
@@ -153,16 +157,20 @@ class _JobState:
 
 @dataclass
 class _SiteRuntime:
-    """Runtime bundle for one extra external cloud site."""
+    """Runtime bundle for one external cloud site (``env.sites[i]``)."""
 
-    spec: "ECSiteSpec"
+    spec: ECSiteSpec
     cluster: Cluster
+    up_capacity: CapacityProcess
+    down_capacity: CapacityProcess
     upload: TransferPipeline
     download: TransferPipeline
     up_estimator: TimeOfDayBandwidthEstimator
     down_estimator: TimeOfDayBandwidthEstimator
     up_tuner: ThreadTuner
     down_tuner: ThreadTuner
+    up_probe: ProbeService
+    down_probe: ProbeService
 
 
 class CloudBurstEnvironment:
@@ -182,70 +190,28 @@ class CloudBurstEnvironment:
         self.sim = Simulator(start_time=config.start_hour * 3600.0)
         self.rng = np.random.default_rng(config.seed)
 
-        # --- network -----------------------------------------------------
-        up_rng = np.random.default_rng(self.rng.integers(2**63))
-        down_rng = np.random.default_rng(self.rng.integers(2**63))
-        self.up_capacity = CapacityProcess(
-            self.sim, config.up_profile(), up_rng,
-            variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
-        )
-        self.down_capacity = CapacityProcess(
-            self.sim, config.down_profile(), down_rng,
-            variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
-        )
-        self.uplink = FluidLink(
-            self.sim, self.up_capacity, config.per_thread_mbps, name="uplink"
-        )
-        self.downlink = FluidLink(
-            self.sim, self.down_capacity, config.per_thread_mbps, name="downlink"
-        )
-
-        # --- learned models ----------------------------------------------
-        self.up_estimator = TimeOfDayBandwidthEstimator(
-            alpha=config.ewma_alpha, prior_mbps=config.up_base_mbps * 0.8
-        )
-        self.down_estimator = TimeOfDayBandwidthEstimator(
-            alpha=config.ewma_alpha, prior_mbps=config.down_base_mbps * 0.8
-        )
-        self.up_tuner = ThreadTuner(
-            initial_threads=config.initial_threads, max_threads=config.max_threads
-        )
-        self.down_tuner = ThreadTuner(
-            initial_threads=config.initial_threads, max_threads=config.max_threads
-        )
         self.qrsm = QuadraticResponseSurface()
         self.estimator = FinishTimeEstimator(self.qrsm)
-
-        # --- pipelines & probes -------------------------------------------
-        self.upload = TransferPipeline(
-            self.sim, self.uplink, self.up_tuner, self.up_estimator, name="upload"
-        )
-        self.download = TransferPipeline(
-            self.sim, self.downlink, self.down_tuner, self.down_estimator, name="download"
-        )
-        self.up_probe = ProbeService(
-            self.sim, self.uplink, self.up_estimator,
-            interval_s=config.probe_interval_s, tuner=self.up_tuner,
-        )
-        self.down_probe = ProbeService(
-            self.sim, self.downlink, self.down_estimator,
-            interval_s=config.probe_interval_s, tuner=self.down_tuner,
-        )
-
-        # --- compute ------------------------------------------------------
         self.ic = Cluster(
             self.sim, "ic", config.ic_machines, config.ic_speed,
             speeds=config.ic_machine_speeds or None,
         )
-        self.ec = Cluster(self.sim, "ec", config.ec_machines, config.ec_speed)
         #: Planning speed the schedulers see for the IC (mean over a
         #: heterogeneous pool).
         self._ic_plan_speed = self.ic.mean_speed
 
-        # --- additional external clouds (multi-cloud bursting) -------------
-        self.extra_site_runtimes: list[_SiteRuntime] = [
-            self._build_extra_site(spec) for spec in config.extra_ec_sites
+        # --- external clouds: site 0 is the primary -------------------------
+        self.sites: list[_SiteRuntime] = [
+            self._build_site(i, spec) for i, spec in enumerate(config.ec_sites())
         ]
+        primary = self.sites[0]
+        self.ec = primary.cluster
+        self.upload = primary.upload
+        self.download = primary.download
+        self.up_capacity = primary.up_capacity
+        self.down_capacity = primary.down_capacity
+        self.up_estimator = primary.up_estimator
+        self.up_tuner = primary.up_tuner
 
         # --- run bookkeeping ----------------------------------------------
         self._states: dict[tuple[int, int], _JobState] = {}
@@ -288,30 +254,31 @@ class CloudBurstEnvironment:
 
             install_invariants(self)
 
-    def _build_extra_site(self, spec: ECSiteSpec) -> _SiteRuntime:
-        """Stand up the full network+compute stack for one extra EC site."""
+    def _build_site(self, index: int, spec: ECSiteSpec) -> _SiteRuntime:
+        """Stand up the full network+compute stack for one EC site.
+
+        Site 0's resources keep the bare names (``ec``, ``upload``, ...);
+        the others carry their site name (``ec-b``, ``upload-b``, ...).
+        """
         config = self.config
+        suffix = f"-{spec.name}" if index else ""
         up_rng = np.random.default_rng(self.rng.integers(2**63))
         down_rng = np.random.default_rng(self.rng.integers(2**63))
-        up_profile = DiurnalBandwidthProfile(
-            base_mbps=spec.up_base_mbps, peak_hour=spec.peak_hour
-        )
-        down_profile = DiurnalBandwidthProfile(
-            base_mbps=spec.down_base_mbps, peak_hour=spec.peak_hour
-        )
         up_capacity = CapacityProcess(
-            self.sim, up_profile, up_rng,
-            variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
+            self.sim,
+            DiurnalBandwidthProfile(base_mbps=spec.up_base_mbps, peak_hour=spec.peak_hour),
+            up_rng, variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
         )
         down_capacity = CapacityProcess(
-            self.sim, down_profile, down_rng,
-            variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
+            self.sim,
+            DiurnalBandwidthProfile(base_mbps=spec.down_base_mbps, peak_hour=spec.peak_hour),
+            down_rng, variation=config.bandwidth_variation, epoch_s=config.capacity_epoch_s,
         )
         uplink = FluidLink(
-            self.sim, up_capacity, config.per_thread_mbps, name=f"uplink-{spec.name}"
+            self.sim, up_capacity, config.per_thread_mbps, name=f"uplink{suffix}"
         )
         downlink = FluidLink(
-            self.sim, down_capacity, config.per_thread_mbps, name=f"downlink-{spec.name}"
+            self.sim, down_capacity, config.per_thread_mbps, name=f"downlink{suffix}"
         )
         up_estimator = TimeOfDayBandwidthEstimator(
             alpha=config.ewma_alpha, prior_mbps=spec.up_base_mbps * 0.8
@@ -325,36 +292,30 @@ class CloudBurstEnvironment:
         down_tuner = ThreadTuner(
             initial_threads=config.initial_threads, max_threads=config.max_threads
         )
-        upload = TransferPipeline(
-            self.sim, uplink, up_tuner, up_estimator, name=f"upload-{spec.name}"
-        )
-        download = TransferPipeline(
-            self.sim, downlink, down_tuner, down_estimator, name=f"download-{spec.name}"
-        )
-        ProbeService(self.sim, uplink, up_estimator,
-                     interval_s=config.probe_interval_s, tuner=up_tuner)
-        ProbeService(self.sim, downlink, down_estimator,
-                     interval_s=config.probe_interval_s, tuner=down_tuner)
-        cluster = Cluster(self.sim, f"ec-{spec.name}", spec.machines, spec.speed)
         return _SiteRuntime(
-            spec=spec, cluster=cluster, upload=upload, download=download,
-            up_estimator=up_estimator, down_estimator=down_estimator,
-            up_tuner=up_tuner, down_tuner=down_tuner,
+            spec=spec,
+            up_capacity=up_capacity,
+            down_capacity=down_capacity,
+            upload=TransferPipeline(
+                self.sim, uplink, up_tuner, up_estimator, name=f"upload{suffix}"
+            ),
+            download=TransferPipeline(
+                self.sim, downlink, down_tuner, down_estimator, name=f"download{suffix}"
+            ),
+            up_estimator=up_estimator,
+            down_estimator=down_estimator,
+            up_tuner=up_tuner,
+            down_tuner=down_tuner,
+            up_probe=ProbeService(
+                self.sim, uplink, up_estimator,
+                interval_s=config.probe_interval_s, tuner=up_tuner,
+            ),
+            down_probe=ProbeService(
+                self.sim, downlink, down_estimator,
+                interval_s=config.probe_interval_s, tuner=down_tuner,
+            ),
+            cluster=Cluster(self.sim, f"ec{suffix}", spec.machines, spec.speed),
         )
-
-    def _site_cluster(self, site: int) -> Cluster:
-        return self.ec if site == 0 else self.extra_site_runtimes[site - 1].cluster
-
-    def _site_upload(self, site: int) -> TransferPipeline:
-        return self.upload if site == 0 else self.extra_site_runtimes[site - 1].upload
-
-    def _site_download(self, site: int) -> TransferPipeline:
-        return self.download if site == 0 else self.extra_site_runtimes[site - 1].download
-
-    def _site_speed(self, site: int) -> float:
-        if site == 0:
-            return self.config.ec_speed
-        return self.extra_site_runtimes[site - 1].spec.speed
 
     # ------------------------------------------------------------------
     # Model training
@@ -400,70 +361,45 @@ class CloudBurstEnvironment:
             st.est_completion = finish  # refresh the stale planning estimate
             pending_append((key, finish))
 
-        # EC machine availability, folding EC cluster queue the same way.
-        ec_speed = self.config.ec_speed
-        ec_free = [
-            machine_est_free(machine, ec_speed, now) for machine in self.ec.machines
-        ]
-        for job in self.ec.queued_items():
-            st = states[job.key]
-            free = min(ec_free)
-            idx = ec_free.index(free)
-            ec_free[idx] = (free if free > now else now) + st.est_proc / ec_speed
-
         # Every incomplete EC-side job contributes its (possibly stale)
         # planning-time completion estimate to the slack pool. ``_open_ec``
         # is the incrementally maintained EC subset of ``_open``.
         for key, st in self._open_ec.items():
             pending_append((key, st.est_completion))
 
-        extra_sites = [self._build_site_state(i + 1, now)
-                       for i in range(len(self.extra_site_runtimes))]
-
         return SystemState(
             now=now,
             ic_free=ic_free,
-            ec_free=ec_free,
             ic_speed=self._ic_plan_speed,
-            ec_speed=self.config.ec_speed,
-            upload_backlog_mb=self.upload.backlog_mb,
-            download_backlog_mb=self.download.backlog_mb,
-            est_up_mbps=self.up_estimator.estimate(now),
-            est_down_mbps=self.down_estimator.estimate(now),
-            up_threads=self.up_tuner.threads_for(now),
-            down_threads=self.down_tuner.threads_for(now),
-            per_thread_mbps=self.config.per_thread_mbps,
-            upload_parallelism=len(self.upload.queues),
             pending_completions=[t for _, t in pending_keyed],
             upload_queue_loads_mb=self.upload.queue_loads_mb(),
             pending_keyed=pending_keyed,
-            extra_sites=extra_sites,
+            sites=[self._site_state(site, now) for site in self.sites],
         )
 
-    def _build_site_state(self, site: int, now: float) -> ECSiteState:
-        """Estimated snapshot of one extra EC site (mirrors the primary)."""
-        runtime = self.extra_site_runtimes[site - 1]
-        speed = runtime.spec.speed
-        ec_free = [
-            self._machine_est_free(m, speed, now) for m in runtime.cluster.machines
-        ]
-        for job in runtime.cluster.queued_items():
-            st = self._states[job.key]
+    def _site_state(self, site: _SiteRuntime, now: float) -> ECSiteState:
+        """Estimated snapshot of one EC site, its queue folded like the IC's."""
+        states = self._states
+        speed = site.spec.speed
+        machine_est_free = self._machine_est_free
+        ec_free = [machine_est_free(m, speed, now) for m in site.cluster.machines]
+        for job in site.cluster.queued_items():
+            st = states[job.key]
             free = min(ec_free)
             idx = ec_free.index(free)
-            ec_free[idx] = max(now, free) + st.est_proc / speed
+            ec_free[idx] = (free if free > now else now) + st.est_proc / speed
         return ECSiteState(
-            name=runtime.spec.name,
+            name=site.spec.name,
             ec_free=ec_free,
             ec_speed=speed,
-            upload_backlog_mb=runtime.upload.backlog_mb,
-            download_backlog_mb=runtime.download.backlog_mb,
-            est_up_mbps=runtime.up_estimator.estimate(now),
-            est_down_mbps=runtime.down_estimator.estimate(now),
-            up_threads=runtime.up_tuner.threads_for(now),
-            down_threads=runtime.down_tuner.threads_for(now),
+            upload_backlog_mb=site.upload.backlog_mb,
+            download_backlog_mb=site.download.backlog_mb,
+            est_up_mbps=site.up_estimator.estimate(now),
+            est_down_mbps=site.down_estimator.estimate(now),
+            up_threads=site.up_tuner.threads_for(now),
+            down_threads=site.down_tuner.threads_for(now),
             per_thread_mbps=self.config.per_thread_mbps,
-            upload_parallelism=len(runtime.upload.queues),
+            upload_parallelism=len(site.upload.queues),
         )
 
     def _machine_est_free(self, machine: Machine, speed: float, now: float) -> float:
@@ -492,13 +428,10 @@ class CloudBurstEnvironment:
         if self._trace is not None:
             raise RuntimeError("environment instances are single-use; build a new one")
         self._scheduler = scheduler
-        total_ec_machines = self.config.ec_machines + sum(
-            s.spec.machines for s in self.extra_site_runtimes
-        )
         self._trace = RunTrace(
             scheduler_name=scheduler.name,
             ic_machines=self.ic.n_machines,
-            ec_machines=total_ec_machines,
+            ec_machines=sum(s.spec.machines for s in self.sites),
             arrival_time=arrival_time,
         )
         if scheduler.wants_size_interval_queues():
@@ -526,8 +459,10 @@ class CloudBurstEnvironment:
         trace = self._trace
         trace.end_time = self.sim.now
         trace.ic_busy_time = self.ic.total_busy_time
+        # Primary first, then the extras' sum: the hashed float keeps one
+        # summation order.
         trace.ec_busy_time = self.ec.total_busy_time + sum(
-            s.cluster.total_busy_time for s in self.extra_site_runtimes
+            s.cluster.total_busy_time for s in self.sites[1:]
         )
         trace.bandwidth_samples = list(self.up_estimator.samples)
         trace.records.sort(key=lambda r: (r.job_id, r.sub_id))
@@ -536,7 +471,7 @@ class CloudBurstEnvironment:
                 "config_seed": self.config.seed,
                 "bandwidth_variation": self.config.bandwidth_variation,
                 "n_batches": n_batches,
-                "up_probes": self.up_probe.n_probes,
+                "up_probes": self.sites[0].up_probe.n_probes,
             }
         )
         for plugin in self._plugins.values():
@@ -640,7 +575,7 @@ class CloudBurstEnvironment:
         self, job: Job, batch: Batch, placement: str,
         est_proc: float, est_completion: float, ec_site: int = 0,
     ) -> None:
-        if not 0 <= ec_site <= len(self.extra_site_runtimes):
+        if not 0 <= ec_site < len(self.sites):
             raise ValueError(f"no EC site with index {ec_site}")
         record = JobRecord(
             job_id=job.job_id,
@@ -695,10 +630,8 @@ class CloudBurstEnvironment:
     # EC path: upload -> execute -> download
     # ------------------------------------------------------------------
     def _dispatch_ec(self, job: Job) -> None:
-        st = self._states[job.key]
-        site = st.site
-        cluster = self._site_cluster(site)
-        upload = self._site_upload(site)
+        site = self.sites[self._states[job.key].site]
+        cluster = site.cluster
 
         def on_start(payload: Job) -> None:
             rec = self._states[payload.key].record
@@ -715,7 +648,7 @@ class CloudBurstEnvironment:
                 on_start=self._on_exec_start,
             )
 
-        item = upload.enqueue(
+        item = site.upload.enqueue(
             job, job.input_mb, on_start=on_start, on_complete=on_uploaded
         )
 
@@ -733,7 +666,7 @@ class CloudBurstEnvironment:
             rec.completion_time = self.sim.now
             self._complete(self._states[payload.key])
 
-        self._site_download(st.site).enqueue(
+        self.sites[st.site].download.enqueue(
             job, job.output_mb, on_start=on_start, on_complete=on_downloaded
         )
 

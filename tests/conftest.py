@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from repro.core.base import SystemState
+from repro.core.base import ECSiteState, SystemState
 from repro.policy import Converger, ConvergerConfig, PolicySet, ScalingPolicy
 from repro.sim.cluster import Cluster
 from repro.sim.engine import Simulator
@@ -71,22 +73,33 @@ def job() -> Job:
     return make_job()
 
 
+#: ``ECSiteState`` fields ``make_state`` accepts flat, for site 0.
+_SITE_FIELDS = {f.name for f in fields(ECSiteState)} - {"name"}
+
+
 def make_state(
     now: float = 0.0,
     ic_free: list[float] | None = None,
     ec_free: list[float] | None = None,
     **kwargs,
 ) -> SystemState:
-    """SystemState with explicit, easily hand-checked numbers."""
+    """SystemState with explicit, easily hand-checked numbers.
+
+    Primary-site fields (``ec_free``, ``est_up_mbps``,
+    ``upload_backlog_mb``, ...) are given flat and land in ``sites[0]``.
+    """
+    site = dict(
+        est_up_mbps=2.0, est_down_mbps=2.0, up_threads=4, down_threads=4,
+        per_thread_mbps=0.5,
+    )
+    site.update({k: kwargs.pop(k) for k in list(kwargs) if k in _SITE_FIELDS})
+    primary = ECSiteState(
+        name="primary", ec_free=ec_free if ec_free is not None else [now] * 2, **site
+    )
     return SystemState(
         now=now,
         ic_free=ic_free if ic_free is not None else [now] * 4,
-        ec_free=ec_free if ec_free is not None else [now] * 2,
-        est_up_mbps=kwargs.pop("est_up_mbps", 2.0),
-        est_down_mbps=kwargs.pop("est_down_mbps", 2.0),
-        up_threads=kwargs.pop("up_threads", 4),
-        down_threads=kwargs.pop("down_threads", 4),
-        per_thread_mbps=kwargs.pop("per_thread_mbps", 0.5),
+        sites=[primary],
         **kwargs,
     )
 

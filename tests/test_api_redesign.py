@@ -220,7 +220,7 @@ class TestBenchReportSchema:
         assert "policy_convergence" not in report.scenarios
 
     def test_committed_bench_artifact_meets_fleet_target(self):
-        """BENCH_core.json is the acceptance artifact: schema v4 with the
+        """BENCH_core.json is the acceptance artifact: schema v6 with the
         fleet scenario sustaining >=100k jobs/s aggregate over >=4 shards."""
         bench_path = Path(__file__).resolve().parent.parent / "BENCH_core.json"
         data = json.loads(bench_path.read_text())

@@ -30,7 +30,7 @@ class TestNoSharedMutableState:
         assert a._plugins is not b._plugins
         assert a._hooks["on_complete"] is not b._hooks["on_complete"]
         assert a._states is not b._states
-        assert a.extra_site_runtimes is not b.extra_site_runtimes
+        assert a.sites is not b.sites
         a.attach(EnvPlugin())
         assert b.plugin(EnvPlugin.key) is None
 

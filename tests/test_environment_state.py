@@ -34,24 +34,25 @@ class TestInitialState:
         now = env.sim.now
         assert state.now == now
         assert state.ic_free == [now, now]
-        assert state.ec_free == [now, now]
-        assert state.upload_backlog_mb == 0.0
-        assert state.download_backlog_mb == 0.0
+        assert [site.name for site in state.sites] == ["primary"]
+        primary = state.sites[0]
+        assert primary.ec_free == [now, now]
+        assert primary.upload_backlog_mb == 0.0
+        assert primary.download_backlog_mb == 0.0
         assert state.pending_completions == []
-        assert state.upload_parallelism == 1
-        assert state.extra_sites == []
+        assert primary.upload_parallelism == 1
 
     def test_bandwidth_estimates_use_prior_before_data(self):
         env = fresh_env()
         state = env.build_state()
-        assert state.est_up_mbps == pytest.approx(4.0 * 0.8)
-        assert state.est_down_mbps == pytest.approx(5.0 * 0.8)
+        assert state.sites[0].est_up_mbps == pytest.approx(4.0 * 0.8)
+        assert state.sites[0].est_down_mbps == pytest.approx(5.0 * 0.8)
 
     def test_threads_come_from_tuner(self):
         env = fresh_env(initial_threads=6)
         state = env.build_state()
-        assert state.up_threads == 6
-        assert state.down_threads == 6
+        assert state.sites[0].up_threads == 6
+        assert state.sites[0].down_threads == 6
 
 
 class TestLoadedState:

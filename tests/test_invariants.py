@@ -44,12 +44,14 @@ def make_checker(**env_attrs) -> EnvironmentInvariants:
         sim=SimpleNamespace(now=0.0),
         jobs_in_system=0,
         _open={},
-        upload=SimpleNamespace(name="upload", backlog_mb=0.0),
-        download=SimpleNamespace(name="download", backlog_mb=0.0),
-        extra_site_runtimes=[],
         plugin=lambda key: None,
     )
-    defaults.update(env_attrs)
+    site = dict(
+        upload=SimpleNamespace(name="upload", backlog_mb=0.0),
+        download=SimpleNamespace(name="download", backlog_mb=0.0),
+    )
+    site.update({k: env_attrs.pop(k) for k in ("upload", "download") if k in env_attrs})
+    defaults.update(env_attrs, sites=[SimpleNamespace(**site)])
     return EnvironmentInvariants(SimpleNamespace(**defaults))
 
 

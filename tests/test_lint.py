@@ -391,6 +391,37 @@ class TestStateMutationRule:
         """
         assert codes(lint(src)) == ["MUT001"]
 
+    def test_flags_mutation_of_a_site_through_the_list(self):
+        src = """
+        def plan(state: SystemState) -> None:
+            state.sites[0].upload_backlog_mb += 1.0
+        """
+        assert codes(lint(src)) == ["MUT001"]
+
+    def test_tracks_site_aliases(self):
+        src = """
+        def plan(state: SystemState, i: int) -> None:
+            site = state.sites[i]
+            site.ec_free.append(1.0)
+        """
+        assert codes(lint(src)) == ["MUT001"]
+
+    def test_tracks_loops_over_sites(self):
+        src = """
+        def plan(state: SystemState) -> None:
+            for site in state.sites:
+                site.ec_free[0] = 0.0
+        """
+        assert codes(lint(src)) == ["MUT001"]
+
+    def test_site_reads_are_fine(self):
+        src = """
+        def plan(state: SystemState) -> float:
+            site = state.sites[0]
+            return site.up_rate + sum(s.ec_speed for s in state.sites)
+        """
+        assert lint(src) == []
+
 
 # ----------------------------------------------------------------------
 # Acceptance: the real tree is clean

@@ -125,9 +125,9 @@ class TestPlanInvariants:
         jobs = build_jobs(raw)
         for sched in all_schedulers():
             state = random_state(data)
-            before = state.upload_backlog_mb
+            before = state.sites[0].upload_backlog_mb
             plan = sched.plan(list(jobs), state)
             bursted_mb = sum(
                 d.job.input_mb for d in plan.decisions if d.placement == Placement.EC
             )
-            assert state.upload_backlog_mb == pytest.approx(before + bursted_mb)
+            assert state.sites[0].upload_backlog_mb == pytest.approx(before + bursted_mb)

@@ -90,10 +90,9 @@ class TestEstimatorArithmetic:
         assert estimator.ec_round_trip_unloaded(job, state) == pytest.approx(130.0)
 
     def test_parallelism_raises_up_rate(self, estimator):
-        state = make_state(now=0.0, est_up_mbps=10.0)
-        assert state.up_rate == pytest.approx(2.0)
-        state.upload_parallelism = 3
-        assert state.up_rate == pytest.approx(6.0)
+        assert make_state(now=0.0, est_up_mbps=10.0).sites[0].up_rate == pytest.approx(2.0)
+        state = make_state(now=0.0, est_up_mbps=10.0, upload_parallelism=3)
+        assert state.sites[0].up_rate == pytest.approx(6.0)
 
 
 class TestICOnly:
